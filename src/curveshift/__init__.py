@@ -37,7 +37,7 @@ from .inference import (
     estimate_noise_variance,
     norm_ppf,
 )
-from .landmark import LandmarkConfig, align_by_max, max_location, smooth
+from .landmark import LandmarkConfig, align_by_max, landmark_shifts, max_location, smooth
 from .optimize import EstimationResult, OptimizerConfig, initialize, minimize
 from .simulate import (
     PATTERNS,

@@ -8,10 +8,12 @@ simulate          run replicated synthetic studies over sigma/weight cells,
                   emitting a JSON summary, per-replicate CSV, criterion-grid
                   plot data (J = 2 cells) and SVG renderings
 compare-landmark  estimate shifts with both the contrast minimizer and the
-                  landmark baseline, on a CSV file or on synthetic data
+                  landmark baseline, on a CSV file or on synthetic data (the
+                  same `run_study` as simulate)
 
 Input CSV: header row; optional first column `t` with equispaced times; the
-remaining columns are curves.  Comma separated, UTF-8, LF line endings.
+remaining columns are curves.  Comma separated, UTF-8 (a leading byte-order
+mark is skipped), LF line endings.
 Outputs are deterministic byte for byte given the same inputs and seed (SVG
 files up to the generator version string).  Exit codes: 2 malformed input,
 3 estimation failure, 4 inference failure.
@@ -29,7 +31,7 @@ import numpy as np
 from .criterion import CriterionContext, check_identifiability, grid_profile
 from .fourier import CurveSet, WeightScheme, rephase, synthesize, transform
 from .inference import confidence_intervals
-from .landmark import LandmarkConfig, max_location
+from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, minimize
 from .simulate import PATTERNS, SimulationSpec, generate, run_study
 
@@ -115,7 +117,7 @@ def _write_line_svg(path: Path, x, y, title: str, xlabel: str, ylabel: str) -> N
 def _read_curves_csv(path: Path):
     """Returns (column_names, times_or_None, samples as n x C array)."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _input_error(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln != ""]
@@ -171,7 +173,7 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
     values = np.zeros(2 * max_frequency + 1)
     path = Path(arg)
     try:
-        lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
+        lines = [ln for ln in path.read_text(encoding="utf-8-sig").split("\n") if ln]
     except OSError as exc:
         raise _input_error(f"cannot read weight file {path}: {exc}") from exc
     start = 1 if lines and lines[0].replace(" ", "") == "l,delta" else 0
@@ -199,7 +201,7 @@ def _load_pattern(token: str, n_samples: int):
         raise _input_error(f"unknown pattern {token!r} (use sinc15, cosine or file:<path>)")
     path = Path(token.split(":", 1)[1])
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _input_error(f"cannot read pattern file {path}: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln]
@@ -230,6 +232,42 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise _input_error(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
+def _warn(warnings: list[str], message: str) -> None:
+    warnings.append(message)
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _read_input(args, warnings: list[str]):
+    """The --input curve file as (column_names, times_or_None, CurveSet, n_input).
+
+    Drops the last row of an even-length file under --truncate-even, and
+    takes the period from --period, else the t column (n * dt), else 2 pi.
+    """
+    names, times, data = _read_curves_csv(Path(args.input))
+    n_input = data.shape[0]
+    if n_input % 2 == 0:
+        if not args.truncate_even:
+            raise _input_error(
+                f"{n_input} samples is even; the transform needs odd n. "
+                "Re-run with --truncate-even to drop the last sample."
+            )
+        data = data[:-1]
+        times = times[:-1] if times is not None else None
+        _warn(warnings, f"even sample count {n_input}: last sample truncated to n = {n_input - 1}")
+    n = data.shape[0]
+    if n < 3:
+        raise _input_error(f"{args.input}: need at least 3 samples per curve, got {n}")
+    if args.period is not None:
+        period = args.period
+    elif times is not None:
+        period = float(n * (times[1] - times[0]))
+    else:
+        period = 2.0 * np.pi
+    if not (np.isfinite(period) and period > 0):
+        raise _input_error("period must be finite and positive")
+    return names, times, CurveSet(samples=data.T, period=period), n_input
+
+
 def _optimizer_config(args) -> OptimizerConfig:
     try:
         return OptimizerConfig(max_iterations=args.max_iters, gradient_tolerance=args.grad_tol)
@@ -243,47 +281,23 @@ def _optimizer_config(args) -> OptimizerConfig:
 def cmd_estimate(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names, times, data = _read_curves_csv(Path(args.input))
     warnings: list[str] = []
-
-    def warn(msg: str) -> None:
-        warnings.append(msg)
-        print(f"warning: {msg}", file=sys.stderr)
-
-    n_input = data.shape[0]
-    if n_input % 2 == 0:
-        if not args.truncate_even:
-            raise _input_error(
-                f"{n_input} samples is even; the transform needs odd n. "
-                "Re-run with --truncate-even to drop the last sample."
-            )
-        data = data[:-1]
-        times = times[:-1] if times is not None else None
-        warn(f"even sample count {n_input}: last sample truncated to n = {n_input - 1}")
-    n = data.shape[0]
-    if args.period is not None:
-        period = args.period
-    elif times is not None:
-        period = float(n * (times[1] - times[0]))
-    else:
-        period = 2.0 * np.pi
-    if not period > 0:
-        raise _input_error("period must be positive")
+    names, times, curves, n_input = _read_input(args, warnings)
+    n, period = curves.n_samples, curves.period
 
     try:
-        curves = CurveSet(samples=data.T, period=period)
         table = transform(curves)
         weights = _materialize_weights(args.weights, table.max_frequency)
         if weights.fluctuation_warning:
-            warn(weights.fluctuation_warning)
+            _warn(warnings, weights.fluctuation_warning)
         ctx = CriterionContext(table, weights)
         ident = check_identifiability(ctx)
         if not ident.ok:
-            warn(f"identifiability: {ident.message}")
+            _warn(warnings, f"identifiability: {ident.message}")
         result = minimize(ctx, _optimizer_config(args))
         if not result.converged:
-            warn(f"optimizer did not reach the gradient tolerance in "
-                 f"{result.iterations} iterations")
+            _warn(warnings, f"optimizer did not reach the gradient tolerance in "
+                            f"{result.iterations} iterations")
     except StageError:
         raise
     except ValueError as exc:
@@ -462,56 +476,23 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # compare-landmark
 
-def _landmark_shifts(curves: CurveSet, bandwidth: float | None):
-    """Per-curve refined max offsets from curve 1; NaN where undefined."""
-    config = LandmarkConfig(bandwidth=bandwidth)
-    T = curves.period
-    locs = np.full(curves.n_curves, np.nan)
-    ok = np.zeros(curves.n_curves, dtype=bool)
-    for j, row in enumerate(curves.samples):
-        try:
-            locs[j] = max_location(row, T, config)
-            ok[j] = True
-        except ValueError:
-            pass
-    shifts = np.full(curves.n_curves, np.nan)
-    if ok[0]:
-        shifts[ok] = np.mod(locs[ok] - locs[0], T)
-        shifts[shifts > T / 2] -= T
-        shifts[0] = 0.0
-    return shifts, ok
-
-
 def cmd_compare_landmark(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _optimizer_config(args)
     if args.bandwidth is not None and not args.bandwidth > 0:
         raise _input_error("--bandwidth must be positive")
+    landmark_config = LandmarkConfig(bandwidth=args.bandwidth)
 
     if args.input:
-        _, times, data = _read_curves_csv(Path(args.input))
-        if data.shape[0] % 2 == 0:
-            if not args.truncate_even:
-                raise _input_error(
-                    "even sample count; re-run with --truncate-even to drop the last sample"
-                )
-            data = data[:-1]
-        if args.period is not None:
-            period = args.period
-        elif times is not None:
-            period = float(data.shape[0] * (times[1] - times[0]))
-        else:
-            period = 2.0 * np.pi
-        curves = CurveSet(samples=data.T, period=period)
+        _, _, curves, _ = _read_input(args, [])
         try:
-            result = minimize(CriterionContext(transform(curves),
-                                               _materialize_weights(args.weights,
-                                                                    (data.shape[0] - 1) // 2)),
-                              config)
+            table = transform(curves)
+            weights = _materialize_weights(args.weights, table.max_frequency)
+            result = minimize(CriterionContext(table, weights), config)
         except ValueError as exc:
             raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
-        lm, ok = _landmark_shifts(curves, args.bandwidth)
+        lm, ok = landmark_shifts(curves, landmark_config)
         rows = []
         for j in range(curves.n_curves):
             rows.append([str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]),
@@ -533,28 +514,18 @@ def cmd_compare_landmark(args) -> int:
 
     spec = _build_spec(args, _parse_float_list(args.sigma, "--sigma")[0],
                        args.weights.split(",")[0], args.samples)
-    rows = []
-    err_est, err_lm = [], []
-    failures = 0
-    for r in range(spec.replicates):
-        rep = generate(spec, r)
-        try:
-            result = minimize(CriterionContext(transform(rep.curves), spec.weights), config)
-        except ValueError as exc:
-            raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
-        lm, ok = _landmark_shifts(rep.curves, args.bandwidth)
-        failures += int(np.sum(~ok))
-        for j in range(spec.n_curves):
-            rows.append([str(r), str(j + 1), _fmt(rep.theta[j]),
-                         _fmt(result.theta_hat[j]), _fmt(lm[j]), str(int(ok[j]))])
-            if j >= 1:
-                err_est.append(_wrap_diff(result.theta_hat[j] - rep.theta[j], spec.period))
-                if ok[j] and ok[0]:
-                    err_lm.append(_wrap_diff(lm[j] - rep.theta[j], spec.period))
+    try:
+        summary = run_study(spec, config, landmark_config)
+    except ValueError as exc:
+        raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
+    rows = [[str(r), str(j + 1), _fmt(summary.theta_true[r, j]), _fmt(summary.theta_hat[r, j]),
+             _fmt(summary.theta_hat_landmark[r, j]), str(int(summary.landmark_ok[r, j]))]
+            for r, j in np.ndindex(summary.landmark_ok.shape)]
     _write_csv(out_dir / "comparison.csv",
                ["replicate", "curve", "theta_true", "theta_hat_estimator",
                 "theta_hat_landmark", "landmark_ok"],
                rows)
+    cell = summary.as_dict()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "compare-landmark",
@@ -562,17 +533,12 @@ def cmd_compare_landmark(args) -> int:
         "n_curves": int(spec.n_curves),
         "replicates": int(spec.replicates),
         "sigma": float(spec.sigma),
-        "landmark_failures": failures,
-        "rmse_estimator": float(np.sqrt(np.mean(np.square(err_est)))),
-        "rmse_landmark": float(np.sqrt(np.mean(np.square(err_lm)))) if err_lm else None,
+        "landmark_failures": int(np.sum(~summary.landmark_ok)),
+        "rmse_estimator": cell["rmse_estimator"],
+        "rmse_landmark": cell["rmse_landmark"],
     }
     _write_json(out_dir / "report.json", payload)
     return 0
-
-
-def _wrap_diff(x: float, period: float) -> float:
-    w = x % period
-    return w - period if w > period / 2 else w
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,8 @@ __all__ = [
     "CriterionContext",
     "IdentifiabilityCheck",
     "wrap_phase",
+    "wrap_time",
+    "full_phases",
     "evaluate",
     "evaluate_unconstrained",
     "gradient",
@@ -47,6 +49,12 @@ __all__ = [
 def wrap_phase(x):
     """Wrap angles to the principal interval [-pi, pi)."""
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def wrap_time(x, period: float):
+    """Wrap time offsets to (-period/2, period/2]."""
+    w = np.mod(x, period)
+    return np.where(w > period / 2.0, w - period, w)
 
 
 @dataclass(frozen=True)
@@ -81,7 +89,8 @@ class ConstrainedShift:
         return np.asarray(self.free, dtype=dtype)
 
 
-def _free_phases(alpha, n_curves: int) -> np.ndarray:
+def full_phases(alpha, n_curves: int) -> np.ndarray:
+    """All J phases, leading zero first, from J-1 free phases or a ConstrainedShift."""
     if isinstance(alpha, ConstrainedShift):
         free = alpha.free
     else:
@@ -91,7 +100,7 @@ def _free_phases(alpha, n_curves: int) -> np.ndarray:
             f"expected {n_curves - 1} free phases for {n_curves} curves, "
             f"got shape {free.shape}"
         )
-    return free
+    return np.concatenate(([0.0], free))
 
 
 @dataclass(frozen=True)
@@ -139,15 +148,13 @@ def evaluate_unconstrained(ctx: CriterionContext, phases) -> float:
 
 def evaluate(ctx: CriterionContext, alpha) -> float:
     """Contrast value at constrained phases (alpha_1 = 0).  Nonnegative."""
-    free = _free_phases(alpha, ctx.n_curves)
-    return evaluate_unconstrained(ctx, np.concatenate(([0.0], free)))
+    return evaluate_unconstrained(ctx, full_phases(alpha, ctx.n_curves))
 
 
 def gradient(ctx: CriterionContext, alpha) -> np.ndarray:
     """Derivative of the contrast in alpha_2..alpha_J."""
-    free = _free_phases(alpha, ctx.n_curves)
     J = ctx.n_curves
-    ct = ctx._rephased(np.concatenate(([0.0], free)))
+    ct = ctx._rephased(full_phases(alpha, J))
     cbar = ct.mean(axis=0)
     terms = ctx._w2 * ctx._ls * np.imag(ct * np.conj(cbar))
     return (2.0 / J) * np.sum(terms[1:], axis=1)
@@ -155,9 +162,8 @@ def gradient(ctx: CriterionContext, alpha) -> np.ndarray:
 
 def hessian(ctx: CriterionContext, alpha) -> np.ndarray:
     """Second derivatives in alpha_2..alpha_J; symmetric (J-1) x (J-1)."""
-    free = _free_phases(alpha, ctx.n_curves)
     J = ctx.n_curves
-    ct = ctx._rephased(np.concatenate(([0.0], free)))
+    ct = ctx._rephased(full_phases(alpha, J))
     w2l2 = ctx._w2 * ctx._ls**2
     # C[k, m] = sum_l w2 l^2 Re(ct_kl conj(ct_ml)) over all J curves.
     C = np.real((ct * w2l2) @ ct.conj().T)
@@ -181,8 +187,7 @@ def grid_profile(ctx: CriterionContext, grid, coordinate: int = 0, base=None) ->
     if not 0 <= coordinate < J - 1:
         raise ValueError("coordinate out of range")
     grid = np.asarray(grid, dtype=float)
-    free = np.zeros(J - 1) if base is None else _free_phases(base, J).copy()
-    ct = ctx._rephased(np.concatenate(([0.0], free)))
+    ct = ctx._rephased(full_phases(np.zeros(J - 1) if base is None else base, J))
     row = coordinate + 1
     others = ct.sum(axis=0) - ct[row]
     moving = np.exp(1j * np.outer(grid, ctx._ls)) * ctx._coeffs[row]

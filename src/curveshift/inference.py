@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .criterion import ConstrainedShift
+from .criterion import ConstrainedShift, full_phases
 from .fourier import SpectralTable, WeightScheme, mean_rephased, rephase
 
 __all__ = [
@@ -97,15 +97,6 @@ class CovarianceReport:
     confidence_level: float
 
 
-def _full_phases(alpha_hat, n_curves: int) -> np.ndarray:
-    if isinstance(alpha_hat, ConstrainedShift):
-        return alpha_hat.full()
-    free = np.atleast_1d(np.asarray(alpha_hat, dtype=float))
-    if free.shape != (n_curves - 1,):
-        raise ValueError("alpha must supply J-1 free phases")
-    return np.concatenate(([0.0], free))
-
-
 def estimate_noise_variance(table: SpectralTable, alpha_hat) -> float:
     """Noise variance from the within-frequency residual dispersion.
 
@@ -116,7 +107,7 @@ def estimate_noise_variance(table: SpectralTable, alpha_hat) -> float:
     """
     if table.n_curves < 2:
         raise ValueError("noise variance is unidentifiable from a single curve")
-    ct = rephase(table, _full_phases(alpha_hat, table.n_curves)).coeffs
+    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
     resid = ct - ct.mean(axis=0)
     per_l = np.sum(np.abs(resid) ** 2, axis=0)
     return float(table.n_samples / (table.n_curves - 1) * per_l.mean())
@@ -149,7 +140,7 @@ def estimate_gamma(table: SpectralTable, weights: WeightScheme, alpha_hat, sigma
     zero; the correction removes the noise contribution to the mean
     coefficient's modulus.
     """
-    cbar = mean_rephased(table, _full_phases(alpha_hat, table.n_curves))
+    cbar = mean_rephased(table, full_phases(alpha_hat, table.n_curves))
     bias = sigma2_hat / (table.n_samples * table.n_curves)
     m = np.maximum(np.abs(cbar) ** 2 - bias, 0.0)
     return gamma_from_power(m, weights, table.n_curves)

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .criterion import wrap_time
 from .fourier import CurveSet
 
-__all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "max_location", "align_by_max"]
+__all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "max_location",
+           "landmark_shifts", "align_by_max"]
 
 FLAT_TOLERANCE = 1e-9
 
@@ -96,15 +98,36 @@ def _circular_span(indices: np.ndarray, n: int) -> int:
     return n - int(gaps.max())
 
 
-def align_by_max(curves: CurveSet, config: LandmarkConfig | None = None) -> np.ndarray:
+def landmark_shifts(
+    curves: CurveSet, config: LandmarkConfig | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-curve shifts (time units) that bring all maxima onto curve 1's.
 
-    Entry j is the maximum location of curve j minus that of curve 1,
-    wrapped to (-T/2, T/2]; entry 0 is exactly zero.
+    Returns (shifts, ok).  ok[j] is False where curve j's maximum is
+    undefined (see `max_location`); shifts[j] is then NaN, and every shift is
+    NaN when curve 1's is.  Otherwise entry j is the maximum location of
+    curve j minus that of curve 1, wrapped to (-T/2, T/2], and entry 0 is
+    exactly zero.
     """
     T = curves.period
-    locs = np.array([max_location(row, T, config) for row in curves.samples])
-    shifts = np.mod(locs - locs[0], T)
-    shifts[shifts > T / 2] -= T
-    shifts[0] = 0.0
+    locs = np.full(curves.n_curves, np.nan)
+    ok = np.zeros(curves.n_curves, dtype=bool)
+    for j, row in enumerate(curves.samples):
+        try:
+            locs[j] = max_location(row, T, config)
+            ok[j] = True
+        except ValueError:
+            pass
+    shifts = np.full(curves.n_curves, np.nan)
+    if ok[0]:
+        shifts[ok] = wrap_time(locs[ok] - locs[0], T)
+        shifts[0] = 0.0
+    return shifts, ok
+
+
+def align_by_max(curves: CurveSet, config: LandmarkConfig | None = None) -> np.ndarray:
+    """The shifts of `landmark_shifts`; raises ValueError if any landmark is undefined."""
+    shifts, ok = landmark_shifts(curves, config)
+    if not ok.all():
+        raise ValueError("landmark undefined: curve maximum is not unique within tolerance")
     return shifts

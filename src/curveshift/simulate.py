@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .criterion import CriterionContext
+from .criterion import CriterionContext, wrap_phase, wrap_time
 from .fourier import CurveSet, WeightScheme, forward_dft, inverse_dft, transform
 from .inference import confidence_intervals, gamma_from_power, norm_ppf
-from .landmark import LandmarkConfig, align_by_max
+from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, minimize
 
 __all__ = [
@@ -85,6 +85,8 @@ class SimulationSpec:
             raise ValueError("need at least one replicate")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative 64-bit integer")
+        if not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError("period must be finite and positive")
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
         if isinstance(self.pattern, str):
@@ -195,7 +197,8 @@ class MonteCarloSummary:
     alpha_hat: np.ndarray  # (R, J-1)
     theta_true: np.ndarray  # (R, J)
     theta_hat: np.ndarray  # (R, J)
-    theta_hat_landmark: np.ndarray  # (R, J), NaN rows where the baseline failed
+    theta_hat_landmark: np.ndarray  # (R, J), NaN where the baseline failed
+    landmark_ok: np.ndarray  # (R, J) bool, False where a curve's landmark is undefined
     criterion_values: np.ndarray  # (R,)
     bias: np.ndarray  # (J-1,)
     covariance: np.ndarray  # empirical cov of sqrt(n)(alpha_hat - alpha*)
@@ -237,11 +240,6 @@ class MonteCarloSummary:
         }
 
 
-def _wrap_time(x, period: float):
-    w = np.mod(x, period)
-    return np.where(w > period / 2.0, w - period, w)
-
-
 def run_study(
     spec: SimulationSpec,
     config: OptimizerConfig | None = None,
@@ -251,17 +249,19 @@ def run_study(
 
     Landmark or inference failures on individual replicates are counted and
     excluded from the affected aggregate, never fatal; non-convergence of the
-    minimizer is likewise only counted.
+    minimizer is likewise only counted.  A replicate with any undefined
+    landmark is left out of the landmark RMSE, but its located curves keep
+    their landmark shifts.
     """
     R, J, n = spec.replicates, spec.n_curves, spec.n_samples
     alpha_true = np.empty((R, J - 1))
     alpha_hat = np.empty((R, J - 1))
     theta_true = np.empty((R, J))
     theta_hat = np.empty((R, J))
-    theta_lm = np.full((R, J), np.nan)
+    theta_lm = np.empty((R, J))
+    landmark_ok = np.empty((R, J), dtype=bool)
     crit = np.empty(R)
     covered = np.full((R, J - 1), np.nan)
-    landmark_failures = 0
     inference_failures = 0
     nonconverged = 0
     for r in range(R):
@@ -282,18 +282,15 @@ def run_study(
             covered[r] = (lo <= rep.alpha[1:]) & (rep.alpha[1:] <= hi)
         except ValueError:
             inference_failures += 1
-        try:
-            theta_lm[r] = align_by_max(rep.curves, landmark_config)
-        except ValueError:
-            landmark_failures += 1
-    errors = _wrap_phase_diff(alpha_hat - alpha_true)
+        theta_lm[r], landmark_ok[r] = landmark_shifts(rep.curves, landmark_config)
+    errors = wrap_phase(alpha_hat - alpha_true)
     scaled = np.sqrt(n) * errors
     covariance = np.atleast_2d(np.cov(scaled, rowvar=False)) if R > 1 else np.zeros((J - 1, J - 1))
     covariance = 0.5 * (covariance + covariance.T)
-    err_lm = _wrap_time(theta_lm[:, 1:] - theta_true[:, 1:], spec.period)
-    valid_lm = ~np.isnan(err_lm).any(axis=1)
-    rmse_lm = float(np.sqrt(np.mean(err_lm[valid_lm] ** 2))) if valid_lm.any() else float("nan")
-    err_theta = _wrap_time(theta_hat[:, 1:] - theta_true[:, 1:], spec.period)
+    valid_lm = landmark_ok.all(axis=1)
+    err_lm = wrap_time(theta_lm[valid_lm, 1:] - theta_true[valid_lm, 1:], spec.period)
+    rmse_lm = float(np.sqrt(np.mean(err_lm**2))) if valid_lm.any() else float("nan")
+    err_theta = wrap_time(theta_hat[:, 1:] - theta_true[:, 1:], spec.period)
     coverage = np.nanmean(covered, axis=0) if R else np.full(J - 1, np.nan)
     return MonteCarloSummary(
         spec=spec,
@@ -302,6 +299,7 @@ def run_study(
         theta_true=theta_true,
         theta_hat=theta_hat,
         theta_hat_landmark=theta_lm,
+        landmark_ok=landmark_ok,
         criterion_values=crit,
         bias=errors.mean(axis=0),
         covariance=covariance,
@@ -309,11 +307,7 @@ def run_study(
         coverage=np.asarray(coverage),
         rmse_estimator=float(np.sqrt(np.mean(err_theta**2))),
         rmse_landmark=rmse_lm,
-        landmark_failures=landmark_failures,
+        landmark_failures=int(np.sum(~valid_lm)),
         inference_failures=inference_failures,
         nonconverged=nonconverged,
     )
-
-
-def _wrap_phase_diff(x):
-    return np.mod(np.asarray(x) + np.pi, 2.0 * np.pi) - np.pi

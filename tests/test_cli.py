@@ -136,13 +136,41 @@ class TestEstimate:
         assert report["n_samples_input"] == 102
         assert any("truncated" in w for w in report["warnings"])
 
-    def test_malformed_csv_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
+    def test_malformed_csv_exit_2(self, tmp_path, capsys, command):
         src = tmp_path / "bad.csv"
+        out = ["--output-dir", str(tmp_path / "o")]
         src.write_text("a,b\n1.0,2.0\n3.0\n")
-        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 2
+        assert main([command, "--input", str(src)] + out) == 2
         src.write_text("a,b\n1.0,x\n")
-        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 2
-        capsys.readouterr()
+        assert main([command, "--input", str(src)] + out) == 2
+        src.write_text("a,b\n1.0,2.0\n")  # fewer than 3 samples per curve
+        assert main([command, "--input", str(src)] + out) == 2
+        write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
+        assert main([command, "--input", str(src), "--period", "-1"] + out) == 2
+        assert "input" in capsys.readouterr().err
+
+    def test_bom_input_read_like_plain(self, tmp_path):
+        n = 51
+        t = np.arange(n) * T / n
+        plain = tmp_path / "plain.csv"
+        write_curves(plain, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))], times=t)
+        wplain = tmp_path / "w.csv"
+        wplain.write_text("l,delta\n" + "".join(f"{l},1.0\n" for l in range(-4, 5) if l))
+        bom, wbom = tmp_path / "bom.csv", tmp_path / "wbom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        wbom.write_bytes(b"\xef\xbb\xbf" + wplain.read_bytes())
+        for name, src, wfile in (("plain", plain, wplain), ("bom", bom, wbom)):
+            assert main(["estimate", "--input", str(src), "--weights", f"file:{wfile}",
+                         "--output-dir", str(tmp_path / f"est_{name}")]) == 0
+            assert main(["compare-landmark", "--input", str(src),
+                         "--output-dir", str(tmp_path / f"cmp_{name}")]) == 0
+        reports = [json.loads((tmp_path / f"est_{name}" / "report.json").read_text())
+                   for name in ("plain", "bom")]
+        assert len(reports[0]["theta_hat"]) == 2
+        assert reports[1]["theta_hat"] == reports[0]["theta_hat"]
+        assert ((tmp_path / "cmp_bom" / "comparison.csv").read_bytes()
+                == (tmp_path / "cmp_plain" / "comparison.csv").read_bytes())
 
     def test_non_equispaced_time_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -237,6 +265,8 @@ class TestSimulate:
     def test_even_samples_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--samples", "100"])
         assert rc == 2
+        rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--period", "-1"])
+        assert rc == 2
         capsys.readouterr()
 
     def test_pattern_file(self, tmp_path):
@@ -312,6 +342,50 @@ class TestCompareLandmark:
         assert report["rmse_landmark"] > 0.0
         _, rows = read_csv(out / "comparison.csv")
         assert rows.shape[0] == 10 * 5
+
+    def test_simulation_mode_matches_simulate(self, tmp_path):
+        study = ["--curves", "4", "--samples", "51", "--sigma", "0.5",
+                 "--weights", "power:1.5", "--replicates", "6", "--seed", "3"]
+        assert main(["simulate", "--output-dir", str(tmp_path / "sim")] + study) == 0
+        assert main(["compare-landmark", "--output-dir", str(tmp_path / "cmp")] + study) == 0
+
+        def cells(path, keys):
+            lines = path.read_text().strip().split("\n")
+            header = lines[0].split(",")
+            rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+            return {(r["replicate"], r["curve"]): tuple(r[k] for k in keys) for r in rows}
+
+        sim = cells(tmp_path / "sim" / "replicates.csv", ["theta_hat", "theta_hat_landmark"])
+        cmp = cells(tmp_path / "cmp" / "comparison.csv",
+                    ["theta_hat_estimator", "theta_hat_landmark"])
+        assert len(sim) == 6 * 3
+        assert sim == {key: value for key, value in cmp.items() if key[1] != "1"}
+        cell = json.loads((tmp_path / "sim" / "summary.json").read_text())["cells"][0]
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert report["rmse_estimator"] == cell["rmse_estimator"]
+        assert report["rmse_landmark"] == cell["rmse_landmark"]
+
+    def test_undefined_landmarks_in_both_commands(self, tmp_path):
+        # cos(2t) has two equal peaks; shifted by whole grid steps without
+        # noise, every curve stays mirror-symmetric on the grid, so its
+        # smoothed maximum is tied at two far-apart points.
+        n = 51
+        t = np.arange(n) * T / n
+        pfile = tmp_path / "pattern.csv"
+        write_curves(pfile, [np.cos(2 * t)], names=["f"])
+        study = ["--curves", "3", "--samples", str(n), "--sigma", "0", "--replicates", "3",
+                 "--seed", "5", "--pattern", f"file:{pfile}",
+                 "--shifts", f"0,{5 * T / n!r},{-7 * T / n!r}"]
+        assert main(["simulate", "--output-dir", str(tmp_path / "sim")] + study) == 0
+        assert main(["compare-landmark", "--output-dir", str(tmp_path / "cmp")] + study) == 0
+        cell = json.loads((tmp_path / "sim" / "summary.json").read_text())["cells"][0]
+        assert cell["landmark_failures"] == 3  # replicates
+        assert cell["rmse_landmark"] is None
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert report["landmark_failures"] == 3 * 3  # curves
+        assert report["rmse_landmark"] is None
+        header, rows = read_csv(tmp_path / "cmp" / "comparison.csv")
+        assert not rows[:, header.index("landmark_ok")].any()
 
 
 class TestPatternRegistry:

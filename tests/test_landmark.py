@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from curveshift import CurveSet, LandmarkConfig, align_by_max, max_location, smooth
+from curveshift import (
+    CurveSet,
+    LandmarkConfig,
+    align_by_max,
+    landmark_shifts,
+    max_location,
+    smooth,
+)
 from curveshift.landmark import default_bandwidth
 
 T = 2.0 * np.pi
@@ -127,9 +134,20 @@ class TestAlignByMax:
     def test_flat_member_raises(self):
         n = 31
         t = np.arange(n) * T / n
+        cfg = LandmarkConfig(bandwidth=0.4)
         rows = np.vstack([np.cos(t), np.zeros(n)])
         with pytest.raises(ValueError, match="landmark undefined"):
-            align_by_max(CurveSet(samples=rows, period=T), LandmarkConfig(bandwidth=0.4))
+            align_by_max(CurveSet(samples=rows, period=T), cfg)
+        # The per-curve function flags only the flat curve and locates the rest.
+        rows = np.vstack([np.cos(t), np.zeros(n), np.cos(t - 0.5)])
+        shifts, ok = landmark_shifts(CurveSet(samples=rows, period=T), cfg)
+        assert ok.tolist() == [True, False, True]
+        assert shifts[0] == 0.0 and np.isnan(shifts[1])
+        assert shifts[2] == pytest.approx(0.5, abs=0.05)
+        # Shifts are relative to curve 1: if it is flat, none is defined.
+        shifts, ok = landmark_shifts(CurveSet(samples=rows[[1, 0, 2]], period=T), cfg)
+        assert ok.tolist() == [False, True, True]
+        assert np.isnan(shifts).all()
 
     def test_first_entry_exactly_zero(self):
         n = 51

@@ -55,6 +55,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sigma"):
             SimulationSpec(pattern="cosine", sigma=-1.0)
 
+    @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_period_rejected(self, period):
+        with pytest.raises(ValueError, match="period"):
+            SimulationSpec(pattern="cosine", period=period)
+
     def test_custom_pattern_length_checked(self):
         with pytest.raises(ValueError, match="one sample per grid point"):
             SimulationSpec(pattern=np.ones(7), n_samples=11)
