@@ -13,7 +13,8 @@ compare-landmark  estimate shifts with both the contrast minimizer and the
 
 Input CSV: header row; optional first column `t` with equispaced times; the
 remaining columns are curves.  Comma separated, UTF-8 (a leading byte-order
-mark is skipped), LF line endings.
+mark is skipped), LF or CRLF line endings.  Pattern files use the same format
+with exactly one curve column.
 Outputs are deterministic byte for byte given the same inputs and seed (SVG
 files up to the generator version string).  Exit codes: 2 malformed input,
 3 estimation failure, 4 inference failure.
@@ -146,8 +147,6 @@ def _read_curves_csv(path: Path):
         steps = np.diff(times)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
             raise _input_error(f"{path}: time column is not equispaced")
-    if data.shape[1] < 2:
-        raise _input_error(f"{path}: need at least two curve columns")
     return header, times, data
 
 
@@ -200,29 +199,14 @@ def _load_pattern(token: str, n_samples: int):
     if not token.startswith("file:"):
         raise _input_error(f"unknown pattern {token!r} (use sinc15, cosine or file:<path>)")
     path = Path(token.split(":", 1)[1])
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise _input_error(f"cannot read pattern file {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln]
-    if len(lines) < 2:
-        raise _input_error(f"{path}: need a header row and data rows")
-    header = lines[0].split(",")
-    value_col = 1 if header[0] == "t" else 0
-    if len(header) != value_col + 1:
+    names, _, data = _read_curves_csv(path)
+    if len(names) != 1:
         raise _input_error(f"{path}: pattern file must contain exactly one curve column")
-    values = []
-    for i, ln in enumerate(lines[1:], start=2):
-        cells = ln.split(",")
-        try:
-            values.append(float(cells[value_col]))
-        except (ValueError, IndexError) as exc:
-            raise _input_error(f"{path}: line {i}: {exc}") from exc
-    if len(values) != n_samples:
+    if data.shape[0] != n_samples:
         raise _input_error(
-            f"{path}: pattern has {len(values)} samples but the study uses {n_samples}"
+            f"{path}: pattern has {data.shape[0]} samples but the study uses {n_samples}"
         )
-    return np.asarray(values)
+    return data[:, 0]
 
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
@@ -244,6 +228,8 @@ def _read_input(args, warnings: list[str]):
     takes the period from --period, else the t column (n * dt), else 2 pi.
     """
     names, times, data = _read_curves_csv(Path(args.input))
+    if data.shape[1] < 2:
+        raise _input_error(f"{args.input}: need at least two curve columns")
     n_input = data.shape[0]
     if n_input % 2 == 0:
         if not args.truncate_even:
@@ -266,6 +252,15 @@ def _read_input(args, warnings: list[str]):
     if not (np.isfinite(period) and period > 0):
         raise _input_error("period must be finite and positive")
     return names, times, CurveSet(samples=data.T, period=period), n_input
+
+
+def _study_cells(args) -> tuple[list[float], list[str]]:
+    """The --sigma values and --weights tokens of a study, at least one of each."""
+    sigmas = _parse_float_list(args.sigma, "--sigma")
+    weight_tokens = [tok for tok in args.weights.split(",") if tok]
+    if not sigmas or not weight_tokens:
+        raise _input_error("need at least one sigma and one weight spec")
+    return sigmas, weight_tokens
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -413,10 +408,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.output_dir)
     (out_dir / "plotdata").mkdir(parents=True, exist_ok=True)
     (out_dir / "figures").mkdir(parents=True, exist_ok=True)
-    sigmas = _parse_float_list(args.sigma, "--sigma")
-    weight_tokens = [tok for tok in args.weights.split(",") if tok]
-    if not sigmas or not weight_tokens:
-        raise _input_error("need at least one sigma and one weight spec")
+    sigmas, weight_tokens = _study_cells(args)
     n = args.samples
     if n % 2 == 0:
         raise _input_error(f"--samples {n} is even; studies need an odd grid")
@@ -512,8 +504,8 @@ def cmd_compare_landmark(args) -> int:
         _write_json(out_dir / "report.json", payload)
         return 0
 
-    spec = _build_spec(args, _parse_float_list(args.sigma, "--sigma")[0],
-                       args.weights.split(",")[0], args.samples)
+    sigmas, weight_tokens = _study_cells(args)
+    spec = _build_spec(args, sigmas[0], weight_tokens[0], args.samples)
     try:
         summary = run_study(spec, config, landmark_config)
     except ValueError as exc:

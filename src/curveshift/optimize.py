@@ -6,12 +6,13 @@ run wins.  Starts come from a coarse phase-correlation scan of each curve
 against the first one, which lands inside the basin of the true shifts for
 any reasonable signal-to-noise ratio, plus the zero vector.
 
-Each run is Polak-Ribiere conjugate gradient with an automatic restart to
-steepest descent whenever the conjugate direction fails to point downhill,
-and a backtracking line search enforcing sufficient decrease.  Coordinates
-are wrapped, not clamped: the contrast is exactly 2pi-periodic in every
-coordinate, so wrapping preserves values while keeping iterates in the
-principal box.
+Each run is Newton's method on the exact analytic Hessian, safeguarded as in
+Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
+-H^{-1} g when a Cholesky factorization of H succeeds and yields a descent
+direction, otherwise steepest descent -g, and a backtracking line search
+enforces sufficient decrease.  Coordinates are wrapped, not clamped: the
+contrast is exactly 2pi-periodic in every coordinate, so wrapping preserves
+values while keeping iterates in the principal box.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .criterion import ConstrainedShift, CriterionContext, evaluate, gradient, wrap_phase
+from .criterion import ConstrainedShift, CriterionContext, evaluate, gradient, hessian, wrap_phase
 
 __all__ = ["OptimizerConfig", "EstimationResult", "initialize", "minimize"]
 
@@ -106,21 +108,21 @@ def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:
 
 
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, keep_trace: bool):
-    """One conjugate-gradient run from x0; returns (x, f, iters, converged, gmax, trace)."""
+    """One safeguarded Newton run from x0; returns (x, f, iters, converged, gmax, trace)."""
     x = wrap_phase(x0)
     f = evaluate(ctx, x)
     g = gradient(ctx, x)
-    d = -g
     trace = [f] if keep_trace else None
     iters = 0
     gmax = float(np.max(np.abs(g)))
     while iters < config.max_iterations and gmax > config.gradient_tolerance:
-        gd = float(np.dot(g, d))
-        if gd >= 0.0:  # conjugacy lost; fall back to steepest descent
+        try:
+            d = -cho_solve(cho_factor(hessian(ctx, x)), g)
+        except LinAlgError:  # Hessian not positive definite
             d = -g
-            gd = -float(np.dot(g, g))
-            if gd == 0.0:
-                break
+        gd = float(np.dot(g, d))
+        if not gd < 0.0:  # rounding spoilt the Newton step; steepest descent
+            d, gd = -g, -float(np.dot(g, g))
         # Keep a single step inside one period of the landscape.
         step = min(1.0, np.pi / max(float(np.max(np.abs(d))), 1e-300))
         accepted = False
@@ -133,10 +135,8 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
             step *= config.contraction
         if not accepted:  # no further decrease representable
             break
-        g_new = gradient(ctx, x_try)
-        beta = max(0.0, float(np.dot(g_new, g_new - g)) / max(float(np.dot(g, g)), 1e-300))
-        d = -g_new + beta * d
-        x, f, g = x_try, f_try, g_new
+        x, f = x_try, f_try
+        g = gradient(ctx, x)
         gmax = float(np.max(np.abs(g)))
         iters += 1
         if keep_trace:

@@ -150,26 +150,32 @@ class TestEstimate:
         assert main([command, "--input", str(src), "--period", "-1"] + out) == 2
         assert "input" in capsys.readouterr().err
 
-    def test_bom_input_read_like_plain(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["bom", "crlf", "no-final-newline"])
+    def test_bom_input_read_like_plain(self, tmp_path, variant):
+        recode = {
+            "bom": lambda b: b"\xef\xbb\xbf" + b,
+            "crlf": lambda b: b.replace(b"\n", b"\r\n"),
+            "no-final-newline": lambda b: b.rstrip(b"\n"),
+        }[variant]
         n = 51
         t = np.arange(n) * T / n
         plain = tmp_path / "plain.csv"
         write_curves(plain, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))], times=t)
         wplain = tmp_path / "w.csv"
         wplain.write_text("l,delta\n" + "".join(f"{l},1.0\n" for l in range(-4, 5) if l))
-        bom, wbom = tmp_path / "bom.csv", tmp_path / "wbom.csv"
-        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
-        wbom.write_bytes(b"\xef\xbb\xbf" + wplain.read_bytes())
-        for name, src, wfile in (("plain", plain, wplain), ("bom", bom, wbom)):
+        other, wother = tmp_path / "other.csv", tmp_path / "wother.csv"
+        other.write_bytes(recode(plain.read_bytes()))
+        wother.write_bytes(recode(wplain.read_bytes()))
+        for name, src, wfile in (("plain", plain, wplain), ("other", other, wother)):
             assert main(["estimate", "--input", str(src), "--weights", f"file:{wfile}",
                          "--output-dir", str(tmp_path / f"est_{name}")]) == 0
             assert main(["compare-landmark", "--input", str(src),
                          "--output-dir", str(tmp_path / f"cmp_{name}")]) == 0
         reports = [json.loads((tmp_path / f"est_{name}" / "report.json").read_text())
-                   for name in ("plain", "bom")]
+                   for name in ("plain", "other")]
         assert len(reports[0]["theta_hat"]) == 2
         assert reports[1]["theta_hat"] == reports[0]["theta_hat"]
-        assert ((tmp_path / "cmp_bom" / "comparison.csv").read_bytes()
+        assert ((tmp_path / "cmp_other" / "comparison.csv").read_bytes()
                 == (tmp_path / "cmp_plain" / "comparison.csv").read_bytes())
 
     def test_non_equispaced_time_rejected(self, tmp_path, capsys):
@@ -267,6 +273,9 @@ class TestSimulate:
         assert rc == 2
         rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--period", "-1"])
         assert rc == 2
+        for command in ("simulate", "compare-landmark"):
+            rc = main([command, "--output-dir", str(tmp_path / "s"), "--sigma", ""])
+            assert rc == 2
         capsys.readouterr()
 
     def test_pattern_file(self, tmp_path):
@@ -281,6 +290,20 @@ class TestSimulate:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cells"][0]["rmse_estimator"] < 0.05
+        # Pattern files are validated like curve files: a non-finite sample, a
+        # row with an extra field and a non-equispaced t column all exit 2.
+        nan_file, extra_file, uneven_file = (tmp_path / f"{k}.csv"
+                                             for k in ("nan", "extra", "uneven"))
+        write_curves(nan_file, [np.where(np.arange(n) == 7, np.nan, np.exp(np.cos(t)))],
+                     names=["f"])
+        lines = pfile.read_text().split("\n")
+        lines[3] += ",1.0"
+        extra_file.write_text("\n".join(lines))
+        write_curves(uneven_file, [np.exp(np.cos(t))], names=["f"], times=t * (1.0 + 0.01 * t))
+        for bad in (nan_file, extra_file, uneven_file):
+            rc = main(["simulate", "--output-dir", str(tmp_path / "bad"), "--curves", "3",
+                       "--samples", str(n), "--replicates", "1", "--pattern", f"file:{bad}"])
+            assert rc == 2
 
 
 class TestCompareLandmark:

@@ -14,7 +14,7 @@ from curveshift import (
     transform,
     wrap_phase,
 )
-from curveshift.criterion import evaluate
+from curveshift.criterion import evaluate, hessian
 
 T = 2.0 * np.pi
 
@@ -150,6 +150,17 @@ class TestMinimize:
         res = minimize(ctx, OptimizerConfig(max_iterations=1, gradient_tolerance=1e-14))
         assert not res.converged
         assert res.iterations <= 1
+
+    def test_converges_where_conjugate_gradient_stalled(self):
+        # Replicates on which a Polak-Ribiere conjugate-gradient descent stalls
+        # at a 500-iteration cap (gradient max 1.1e-6, 1.2e-8, 5.4e-4, 6.7e-7).
+        spec = SimulationSpec(pattern="sinc15", n_curves=10, n_samples=101, sigma=3.0,
+                              replicates=40, seed=7)
+        for r in (4, 13, 15, 20):
+            ctx = CriterionContext(transform(generate(spec, r).curves), spec.weights)
+            res = minimize(ctx)
+            assert res.converged, r
+            assert np.linalg.eigvalsh(hessian(ctx, res.alpha_hat.free))[0] > 0.0, r
 
     def test_extra_restarts_accepted(self):
         curves = cosine_curves([0.0, -2.0, 1.3])
