@@ -116,7 +116,7 @@ def _write_line_svg(path: Path, x, y, title: str, xlabel: str, ylabel: str) -> N
 # Input parsing.
 
 def _read_curves_csv(path: Path):
-    """Returns (column_names, times_or_None, samples as n x C array)."""
+    """Returns (column_names, times_or_None, samples as n x C); names are stripped, unique."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -124,7 +124,10 @@ def _read_curves_csv(path: Path):
     lines = [ln for ln in text.split("\n") if ln != ""]
     if len(lines) < 2:
         raise _input_error(f"{path}: need a header row and at least one data row")
-    header = lines[0].split(",")
+    header = [name.strip() for name in lines[0].split(",")]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise _input_error(f"{path}: duplicate column name {name!r}")
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")

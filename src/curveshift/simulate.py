@@ -13,7 +13,8 @@ covariance of the sqrt(n)-scaled errors, confidence-interval coverage, and
 root-mean-square errors for both the contrast minimizer and the
 landmark-alignment baseline.  The matching theoretical covariance is
 computed from the pattern's exact Fourier coefficients, obtained by
-composite Simpson quadrature of (1/T) integral f(t) exp(-2 pi i l t / T) dt.
+composite Simpson quadrature of (1/T) integral f(t) exp(-2 pi i l t / T) dt,
+evaluated for all l at once as one FFT of the Simpson-weighted samples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .criterion import CriterionContext, wrap_phase, wrap_time
 from .fourier import CurveSet, WeightScheme, forward_dft, inverse_dft, transform
@@ -165,23 +165,19 @@ def true_coefficients(spec: SimulationSpec) -> np.ndarray:
     """Exact Fourier coefficients of the pattern for l = -L..L.
 
     Named patterns are integrated with composite Simpson on a grid fine
-    enough for the highest requested frequency; a custom sampled pattern is
-    its own band-limited truth, so its transform is returned directly.
+    enough for the highest requested frequency, evaluated for every l as one
+    FFT of the Simpson-weighted samples (exp(-2 pi i l t/T) is 1 at both ends,
+    so the endpoint sample folds onto t = 0); a custom sampled pattern is its
+    own band-limited truth, so its transform is returned directly.
     """
     if not isinstance(spec.pattern, str):
         return forward_dft(spec.pattern, spec.period)
     L, T = spec.max_frequency, spec.period
-    f = PATTERNS[spec.pattern]
-    panels = max(16384, 64 * L)
-    t = np.linspace(0.0, T, panels + 1)
-    fvals = f(t, T)
-    ls = np.arange(-L, L + 1)
-    out = np.empty(2 * L + 1, dtype=complex)
-    for start in range(0, ls.size, 64):
-        chunk = ls[start:start + 64]
-        integrand = fvals[None, :] * np.exp(-2j * np.pi * np.outer(chunk, t) / T)
-        out[start:start + 64] = simpson(integrand, x=t, axis=1) / T
-    return out
+    panels = max(16384, 64 * L)  # even, as Simpson needs
+    fvals = PATTERNS[spec.pattern](np.linspace(0.0, T, panels + 1), T)
+    g = fvals[:-1] * np.tile([2.0, 4.0], panels // 2)
+    g[0] = fvals[0] + fvals[-1]
+    return np.fft.fft(g)[np.arange(-L, L + 1)] / (3 * panels)  # bin panels + l for l < 0
 
 
 def theoretical_gamma(spec: SimulationSpec) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveshift
 from curveshift.cli import main
 from curveshift.simulate import PATTERNS, SimulationSpec, generate
 
@@ -177,6 +182,42 @@ class TestEstimate:
         assert reports[1]["theta_hat"] == reports[0]["theta_hat"]
         assert ((tmp_path / "cmp_other" / "comparison.csv").read_bytes()
                 == (tmp_path / "cmp_plain" / "comparison.csv").read_bytes())
+
+    @pytest.mark.parametrize("header", [" t,y1,y2", "t ,y1,y2", " t , y1 , y2 "],
+                             ids=["leading", "trailing", "both"])
+    def test_padded_header_read_like_plain(self, tmp_path, header):
+        # A padded t still names the time column, not a third curve.
+        n = 51
+        t = np.arange(n) * T / n
+        plain = tmp_path / "plain.csv"
+        write_curves(plain, [np.cos(t), np.cos(t - 0.5)], names=["y1", "y2"], times=t)
+        padded = tmp_path / "padded.csv"
+        padded.write_text("\n".join([header] + plain.read_text().split("\n")[1:]))
+        for name, src in (("plain", plain), ("padded", padded)):
+            assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / name)]) == 0
+        _, shifts = read_csv(tmp_path / "plain" / "shifts.csv")
+        assert np.allclose(shifts[:, 1], [0.0, 0.5], atol=1e-6)
+        for out in ("shifts.csv", "aligned.csv"):
+            assert (tmp_path / "padded" / out).read_bytes() == (tmp_path / "plain" / out).read_bytes()
+
+    @pytest.mark.parametrize("command", ["estimate", "compare-landmark", "simulate"])
+    def test_duplicate_column_names_exit_2(self, tmp_path, capsys, command):
+        n = 51
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        out = ["--output-dir", str(tmp_path / "o")]
+        if command == "simulate":
+            # Pattern files share the reader; a curve may not reuse the name t.
+            write_curves(src, [np.exp(np.cos(t))], names=["t"], times=t)
+            argv = ["simulate", "--samples", str(n), "--replicates", "1",
+                    "--pattern", f"file:{src}"]
+            duplicate = "'t'"
+        else:
+            write_curves(src, [np.cos(t), np.cos(t - 0.5)], names=["y1", "y1"], times=t)
+            argv = [command, "--input", str(src)]
+            duplicate = "'y1'"
+        assert main(argv + out) == 2
+        assert f"duplicate column name {duplicate}" in capsys.readouterr().err
 
     def test_non_equispaced_time_rejected(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -414,3 +455,14 @@ class TestCompareLandmark:
 class TestPatternRegistry:
     def test_patterns_available(self):
         assert set(PATTERNS) == {"sinc15", "cosine"}
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_integrate(self):
+        # scipy.integrate costs about a quarter second of every launch.
+        src = Path(curveshift.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = "import sys, curveshift.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

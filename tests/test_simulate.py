@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from curveshift import (
     PATTERNS,
@@ -128,14 +129,31 @@ class TestTrueCoefficients:
     def test_sinc_quadrature_matches_fine_fft(self):
         # Independent oracle: coefficients of the periodized pattern from a
         # 2^20-point transform, aliasing error far below the tolerance.
-        spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101)
-        c = true_coefficients(spec)
         N = 1 << 20
         tt = np.arange(N) * T / N
-        fc = np.fft.fftshift(np.fft.fft(PATTERNS["sinc15"](tt))) / N
-        L = 50
-        fc = fc[N // 2 - L:N // 2 + L + 1]
-        assert np.max(np.abs(c - fc)) < 1e-8
+        fine = np.fft.fftshift(np.fft.fft(PATTERNS["sinc15"](tt))) / N
+        for n in (101, 2001):
+            c = true_coefficients(SimulationSpec(pattern="sinc15", n_curves=2, n_samples=n))
+            L = (n - 1) // 2
+            assert np.max(np.abs(c - fine[N // 2 - L:N // 2 + L + 1])) < 1e-8, n
+
+    @pytest.mark.parametrize("period", [T, 3.7], ids=["2pi", "3.7"])
+    @pytest.mark.parametrize("n", [101, 401])
+    @pytest.mark.parametrize("pattern", ["sinc15", "cosine"])
+    def test_matches_chunked_simpson(self, pattern, n, period):
+        # Oracle: scipy's composite Simpson over the same panels, 64
+        # frequency rows at a time.
+        spec = SimulationSpec(pattern=pattern, n_curves=2, n_samples=n, period=period)
+        L = spec.max_frequency
+        t = np.linspace(0.0, period, max(16384, 64 * L) + 1)
+        fvals = PATTERNS[pattern](t, period)
+        ls = np.arange(-L, L + 1)
+        expected = np.empty(2 * L + 1, dtype=complex)
+        for start in range(0, ls.size, 64):
+            chunk = ls[start:start + 64]
+            integrand = fvals[None, :] * np.exp(-2j * np.pi * np.outer(chunk, t) / period)
+            expected[start:start + 64] = simpson(integrand, x=t, axis=1) / period
+        assert np.max(np.abs(true_coefficients(spec) - expected)) < 1e-13
 
     def test_custom_pattern_uses_own_transform(self):
         n = 21
