@@ -153,27 +153,19 @@ def _read_curves_csv(path: Path):
     return header, times, data
 
 
-def _parse_weight_token(token: str):
+def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
     if token == "unit":
-        return ("unit", None)
+        return WeightScheme.unit(max_frequency)
     if token.startswith("power:"):
         try:
-            return ("power", float(token.split(":", 1)[1]))
+            beta = float(token.split(":", 1)[1])
         except ValueError as exc:
             raise _input_error(f"bad weight exponent in {token!r}") from exc
-    if token.startswith("file:"):
-        return ("file", token.split(":", 1)[1])
-    raise _input_error(f"unknown weight spec {token!r} (use power:<beta>, unit or file:<path>)")
-
-
-def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
-    kind, arg = _parse_weight_token(token)
-    if kind == "unit":
-        return WeightScheme.unit(max_frequency)
-    if kind == "power":
-        return WeightScheme.power(arg, max_frequency)
+        return WeightScheme.power(beta, max_frequency)
+    if not token.startswith("file:"):
+        raise _input_error(f"unknown weight spec {token!r} (use power:<beta>, unit or file:<path>)")
     values = np.zeros(2 * max_frequency + 1)
-    path = Path(arg)
+    path = Path(token.split(":", 1)[1])
     try:
         lines = [ln for ln in path.read_text(encoding="utf-8-sig").split("\n") if ln]
     except OSError as exc:
@@ -277,6 +269,8 @@ def _optimizer_config(args) -> OptimizerConfig:
 # estimate
 
 def cmd_estimate(args) -> int:
+    if not 0 < args.confidence < 1:
+        raise _input_error("--confidence must lie in (0, 1)")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
@@ -374,15 +368,6 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _weight_label(token: str) -> str:
-    kind, arg = _parse_weight_token(token)
-    if kind == "power":
-        return f"power{arg:g}"
-    if kind == "unit":
-        return "unit"
-    return "custom"
-
-
 def _build_spec(args, sigma: float, weight_token: str, n: int) -> SimulationSpec:
     weights = _materialize_weights(weight_token, (n - 1) // 2)
     shifts = None
@@ -426,7 +411,7 @@ def cmd_simulate(args) -> int:
                 summary = run_study(spec, config)
             except ValueError as exc:
                 raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
-            label = _weight_label(token)
+            label = spec.weights.kind.replace(":", "")
             cell = {"sigma": float(sigma), "weight_label": label}
             cell.update(summary.as_dict())
             cells.append(cell)

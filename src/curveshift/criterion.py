@@ -16,19 +16,21 @@ Closed forms for the derivatives, used by the optimizer and for inference:
     d2M/dalpha_k^2   = (2/J^2) sum_l |delta_l|^2 l^2 Re( ct_{kl} sum_{j != k} conj(ct_{jl}) )
     d2M/dal_k dal_m  = -(2/J^2) sum_l |delta_l|^2 l^2 Re( ct_{kl} conj(ct_{ml}) )
 
-for k, m in 2..J.  Frequency sums run from the largest |l| down to the
-smallest so that, for decaying weight families, the smallest terms accumulate
-first; tolerances quoted in the tests assume 64-bit floats.
+for k, m in 2..J.  All three are computed from the rephased coefficients
+ct = `fourier.rephase`(table, phases), the only rephasing in the package, and
+sum over l in the table's own order -L..L.  The public functions take the
+phases; the optimizer rephases once per point it tries and reuses that ct
+for the gradient and Hessian once the point is accepted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import SpectralTable, WeightScheme
+from .fourier import SpectralTable, WeightScheme, rephase
 
 __all__ = [
     "ConstrainedShift",
@@ -109,68 +111,61 @@ class CriterionContext:
 
     table: SpectralTable
     weights: WeightScheme
-    # Internal layout: frequencies sorted by decreasing |l| (summation order).
-    _order: np.ndarray = field(init=False, repr=False, compare=False)
-    _ls: np.ndarray = field(init=False, repr=False, compare=False)
-    _w2: np.ndarray = field(init=False, repr=False, compare=False)
-    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weights.values.size != self.table.n_samples:
             raise ValueError(
                 "weight vector length does not match the table frequency range"
             )
-        ls = self.table.frequencies
-        order = np.argsort(-np.abs(ls), kind="stable")
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_ls", ls[order].astype(float))
-        object.__setattr__(self, "_w2", self.weights.values[order] ** 2)
-        object.__setattr__(self, "_coeffs", self.table.coeffs[:, order])
 
     @property
     def n_curves(self) -> int:
         return self.table.n_curves
 
-    def _rephased(self, phases: np.ndarray) -> np.ndarray:
-        return self._coeffs * np.exp(1j * np.outer(phases, self._ls))
 
+# The formulas on the rephased coefficients ct = rephase(table, phases), for a
+# caller (the optimizer) that reuses one ct for value, gradient and Hessian.
 
-def evaluate_unconstrained(ctx: CriterionContext, phases) -> float:
-    """Contrast for all J phases free (used to test common-phase invariance)."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (ctx.n_curves,):
-        raise ValueError("expected one phase per curve")
-    ct = ctx._rephased(phases)
+def _value(ctx: CriterionContext, ct: np.ndarray) -> float:
     resid = ct - ct.mean(axis=0)
-    terms = ctx._w2 * np.mean(np.abs(resid) ** 2, axis=0)
-    return float(np.sum(terms))
+    return float(np.sum(ctx.weights.values**2 * np.mean(np.abs(resid) ** 2, axis=0)))
 
 
-def evaluate(ctx: CriterionContext, alpha) -> float:
-    """Contrast value at constrained phases (alpha_1 = 0).  Nonnegative."""
-    return evaluate_unconstrained(ctx, full_phases(alpha, ctx.n_curves))
+def _gradient(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
+    w2l = ctx.weights.values**2 * ctx.table.frequencies
+    terms = w2l * np.imag(ct * np.conj(ct.mean(axis=0)))
+    return (2.0 / ct.shape[0]) * np.sum(terms[1:], axis=1)
 
 
-def gradient(ctx: CriterionContext, alpha) -> np.ndarray:
-    """Derivative of the contrast in alpha_2..alpha_J."""
-    J = ctx.n_curves
-    ct = ctx._rephased(full_phases(alpha, J))
-    cbar = ct.mean(axis=0)
-    terms = ctx._w2 * ctx._ls * np.imag(ct * np.conj(cbar))
-    return (2.0 / J) * np.sum(terms[1:], axis=1)
-
-
-def hessian(ctx: CriterionContext, alpha) -> np.ndarray:
-    """Second derivatives in alpha_2..alpha_J; symmetric (J-1) x (J-1)."""
-    J = ctx.n_curves
-    ct = ctx._rephased(full_phases(alpha, J))
-    w2l2 = ctx._w2 * ctx._ls**2
+def _hessian(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
+    J = ct.shape[0]
+    w2l2 = ctx.weights.values**2 * ctx.table.frequencies**2
     # C[k, m] = sum_l w2 l^2 Re(ct_kl conj(ct_ml)) over all J curves.
     C = np.real((ct * w2l2) @ ct.conj().T)
     H = -C[1:, 1:].copy()
     diag = C.sum(axis=1) - np.diag(C)  # sum over j != k
     H[np.diag_indices_from(H)] = diag[1:]
     return (2.0 / J**2) * H
+
+
+def evaluate_unconstrained(ctx: CriterionContext, phases) -> float:
+    """Contrast for all J phases free (used to test common-phase invariance)."""
+    return _value(ctx, rephase(ctx.table, phases).coeffs)
+
+
+def evaluate(ctx: CriterionContext, alpha) -> float:
+    """Contrast value at constrained phases (alpha_1 = 0).  Nonnegative."""
+    return _value(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs)
+
+
+def gradient(ctx: CriterionContext, alpha) -> np.ndarray:
+    """Derivative of the contrast in alpha_2..alpha_J."""
+    return _gradient(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs)
+
+
+def hessian(ctx: CriterionContext, alpha) -> np.ndarray:
+    """Second derivatives in alpha_2..alpha_J; symmetric (J-1) x (J-1)."""
+    return _hessian(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs)
 
 
 def grid_profile(ctx: CriterionContext, grid, coordinate: int = 0, base=None) -> np.ndarray:
@@ -183,17 +178,20 @@ def grid_profile(ctx: CriterionContext, grid, coordinate: int = 0, base=None) ->
 
     whose first part does not depend on alpha at all.
     """
+    table = ctx.table
     J = ctx.n_curves
     if not 0 <= coordinate < J - 1:
         raise ValueError("coordinate out of range")
     grid = np.asarray(grid, dtype=float)
-    ct = ctx._rephased(full_phases(np.zeros(J - 1) if base is None else base, J))
+    ct = rephase(table, full_phases(np.zeros(J - 1) if base is None else base, J)).coeffs
     row = coordinate + 1
     others = ct.sum(axis=0) - ct[row]
-    moving = np.exp(1j * np.outer(grid, ctx._ls)) * ctx._coeffs[row]
-    cbar = (others[None, :] + moving) / J
-    const_terms = ctx._w2 * np.mean(np.abs(ctx._coeffs) ** 2, axis=0)
-    var_terms = ctx._w2 * np.abs(cbar) ** 2
+    # The moving curve's row, one copy per grid value, each rephased by it.
+    moving = np.broadcast_to(table.coeffs[row], (grid.size, table.n_samples))
+    cbar = (others + rephase(SpectralTable(moving, table.period), grid).coeffs) / J
+    w2 = ctx.weights.values**2
+    const_terms = w2 * np.mean(np.abs(table.coeffs) ** 2, axis=0)
+    var_terms = w2 * np.abs(cbar) ** 2
     return np.sum(const_terms) - np.sum(var_terms, axis=1)
 
 

@@ -186,20 +186,20 @@ def _require_odd(n: int) -> int:
     return (n - 1) // 2
 
 
-def forward_dft(curve, period: float) -> np.ndarray:
-    """Normalized DFT of one real curve, returned in l = -L..L order.
+def forward_dft(samples, period: float) -> np.ndarray:
+    """Normalized DFT of one curve, or of each row of a J x n matrix, in l = -L..L order.
 
     c_l = (1/n) sum_{m=0}^{n-1} x_m exp(-i 2 pi m l / n).  Requires odd n.
     """
-    x = np.asarray(curve, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("curve must be a one-dimensional vector")
-    _require_odd(x.size)
+    x = np.asarray(samples, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError("samples must be one curve or a matrix of curves")
+    _require_odd(x.shape[-1])
     if not np.all(np.isfinite(x)):
         raise ValueError("curve samples must be finite")
     if not period > 0:
         raise ValueError("period must be positive")
-    return np.fft.fftshift(np.fft.fft(x)) / x.size
+    return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
 
 
 def inverse_dft(coeffs) -> np.ndarray:
@@ -217,9 +217,7 @@ def inverse_dft(coeffs) -> np.ndarray:
 
 def transform(curves: CurveSet) -> SpectralTable:
     """Forward transform of every curve in a set."""
-    _require_odd(curves.n_samples)
-    coeffs = np.fft.fftshift(np.fft.fft(curves.samples, axis=1), axes=1)
-    return SpectralTable(coeffs=coeffs / curves.n_samples, period=curves.period)
+    return SpectralTable(coeffs=forward_dft(curves.samples, curves.period), period=curves.period)
 
 
 def synthesize(table: SpectralTable) -> CurveSet:

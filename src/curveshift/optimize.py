@@ -22,9 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .criterion import ConstrainedShift, CriterionContext, evaluate, gradient, hessian, wrap_phase
+from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian, _value,
+                        full_phases, wrap_phase)
+from .fourier import rephase
 
 __all__ = ["OptimizerConfig", "EstimationResult", "initialize", "minimize"]
+
+CONTRACTION = 0.5  # line-search step factor per rejected trial
+SUFFICIENT_DECREASE = 1e-4  # Armijo constant: accept f_try <= f + c * step * g.d
 
 
 @dataclass(frozen=True)
@@ -32,18 +37,12 @@ class OptimizerConfig:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8  # max-norm
     restarts: int | None = None  # extra lattice starts; None = initializer only
-    contraction: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction must be in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must be in (0, 1)")
         if self.restarts is not None and self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
 
@@ -109,15 +108,18 @@ def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:
 
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, keep_trace: bool):
     """One safeguarded Newton run from x0; returns (x, f, iters, converged, gmax, trace)."""
+    J = ctx.n_curves
     x = wrap_phase(x0)
-    f = evaluate(ctx, x)
-    g = gradient(ctx, x)
+    # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
+    ct = rephase(ctx.table, full_phases(x, J)).coeffs
+    f = _value(ctx, ct)
+    g = _gradient(ctx, ct)
     trace = [f] if keep_trace else None
     iters = 0
     gmax = float(np.max(np.abs(g)))
     while iters < config.max_iterations and gmax > config.gradient_tolerance:
         try:
-            d = -cho_solve(cho_factor(hessian(ctx, x)), g)
+            d = -cho_solve(cho_factor(_hessian(ctx, ct)), g)
         except LinAlgError:  # Hessian not positive definite
             d = -g
         gd = float(np.dot(g, d))
@@ -128,15 +130,16 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
         accepted = False
         for _ in range(80):
             x_try = wrap_phase(x + step * d)
-            f_try = evaluate(ctx, x_try)
-            if np.isfinite(f_try) and f_try <= f + config.sufficient_decrease * step * gd:
+            ct_try = rephase(ctx.table, full_phases(x_try, J)).coeffs
+            f_try = _value(ctx, ct_try)
+            if np.isfinite(f_try) and f_try <= f + SUFFICIENT_DECREASE * step * gd:
                 accepted = True
                 break
-            step *= config.contraction
+            step *= CONTRACTION
         if not accepted:  # no further decrease representable
             break
-        x, f = x_try, f_try
-        g = gradient(ctx, x)
+        x, f, ct = x_try, f_try, ct_try
+        g = _gradient(ctx, ct)
         gmax = float(np.max(np.abs(g)))
         iters += 1
         if keep_trace:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CriterionContext, wrap_phase, wrap_time
-from .fourier import CurveSet, WeightScheme, forward_dft, inverse_dft, transform
+from .fourier import CurveSet, SpectralTable, WeightScheme, forward_dft, inverse_dft, rephase, transform
 from .inference import confidence_intervals, gamma_from_power, norm_ppf
 from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, minimize
@@ -83,7 +83,7 @@ class SimulationSpec:
             raise ValueError("sigma must be nonnegative")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.seed < 0:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
         if not (np.isfinite(self.period) and self.period > 0):
             raise ValueError("period must be finite and positive")
@@ -150,9 +150,8 @@ def generate(spec: SimulationSpec, replicate_index: int) -> Replicate:
     if isinstance(spec.pattern, str):
         clean = PATTERNS[spec.pattern](t[None, :] - theta[:, None], T)
     else:
-        coeffs = forward_dft(spec.pattern, T)
-        ls = np.arange(-spec.max_frequency, spec.max_frequency + 1)
-        clean = inverse_dft(coeffs[None, :] * np.exp(-1j * np.outer(alpha, ls)))
+        pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
+        clean = inverse_dft(rephase(pattern, -alpha).coeffs)
     noise = spec.sigma * _standard_normal(rng, (J, n)) if spec.sigma > 0 else 0.0
     return Replicate(
         curves=CurveSet(samples=clean + noise, period=T),

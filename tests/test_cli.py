@@ -246,6 +246,19 @@ class TestEstimate:
         assert rc == 4
         assert "inference" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_bad_confidence_exit_2_before_estimation(self, tmp_path, capsys, level):
+        n = 101
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(t), np.cos(t - 0.4)])
+        out = tmp_path / "o"
+        rc = main(["estimate", "--input", str(src), "--output-dir", str(out),
+                   "--confidence", level])
+        assert rc == 2
+        assert "input" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_weights_file_round_trip(self, tmp_path):
         n = 101
         t = np.arange(n) * T / n
@@ -318,6 +331,12 @@ class TestSimulate:
             rc = main([command, "--output-dir", str(tmp_path / "s"), "--sigma", ""])
             assert rc == 2
         capsys.readouterr()
+
+    def test_seed_beyond_64_bits_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--replicates", "1",
+                   "--seed", str(2**64)])
+        assert rc == 2
+        assert "64-bit" in capsys.readouterr().err
 
     def test_pattern_file(self, tmp_path):
         n = 51

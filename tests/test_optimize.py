@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from curveshift import (
     transform,
     wrap_phase,
 )
+from curveshift import criterion, fourier
 from curveshift.criterion import evaluate, hessian
 
 T = 2.0 * np.pi
@@ -162,6 +165,36 @@ class TestMinimize:
             assert res.converged, r
             assert np.linalg.eigvalsh(hessian(ctx, res.alpha_hat.free))[0] > 0.0, r
 
+    def test_one_rephase_per_criterion_value(self, monkeypatch):
+        # Every point the optimizer tries costs one rephase, for its value;
+        # an accepted point's gradient and Hessian reuse those coefficients.
+        # Measured: 269 rephases for the 20 runs (13.45 per run); rephasing
+        # separately for value, gradient and Hessian took 659.
+        counts = {"rephase": 0, "value": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for key, fn in (("rephase", fourier.rephase), ("value", criterion._value)):
+            wrapper = counting(key, fn)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] != "curveshift":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+        spec = SimulationSpec(pattern="sinc15", n_curves=30, n_samples=401, sigma=1.0,
+                              replicates=20, seed=3)
+        tables = [transform(generate(spec, r).curves) for r in range(spec.replicates)]
+        for table in tables:
+            minimize(CriterionContext(table, spec.weights))
+        assert counts["value"] > 0
+        assert counts["rephase"] == counts["value"]
+        assert counts["rephase"] <= 14 * spec.replicates
+
     def test_extra_restarts_accepted(self):
         curves = cosine_curves([0.0, -2.0, 1.3])
         ctx = CriterionContext(transform(curves), WeightScheme.unit(50))
@@ -184,9 +217,5 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(contraction=1.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(sufficient_decrease=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=-1)

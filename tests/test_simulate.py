@@ -61,6 +61,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="period"):
             SimulationSpec(pattern="cosine", period=period)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit"):
+            SimulationSpec(pattern="cosine", seed=seed)
+
     def test_custom_pattern_length_checked(self):
         with pytest.raises(ValueError, match="one sample per grid point"):
             SimulationSpec(pattern=np.ones(7), n_samples=11)
