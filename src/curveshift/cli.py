@@ -61,11 +61,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_lines(path: Path, header: list[str], lines) -> None:
+    text = "\n".join([",".join(header), *lines]) + "\n"
+    path.write_text(text, encoding="utf-8", newline="\n")
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, header, (",".join(cell if isinstance(cell, str) else _fmt(cell)
+                                         for cell in row) for row in rows))
+
+
+def _write_array_csv(path: Path, header: list[str], values: np.ndarray) -> None:
+    """A float matrix, one row per line: the bytes `_write_csv` writes for its rows."""
+    _write_lines(path, header, (",".join(map(repr, row))
+                                for row in np.asarray(values, dtype=float).tolist()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -134,7 +143,7 @@ def _read_curves_csv(path: Path):
         if len(cells) != len(header):
             raise _input_error(f"{path}: line {i} has {len(cells)} fields, expected {len(header)}")
         try:
-            rows.append([float(c) for c in cells])
+            rows.append(list(map(float, cells)))
         except ValueError as exc:
             raise _input_error(f"{path}: line {i}: {exc}") from exc
     data = np.asarray(rows, dtype=float)
@@ -318,26 +327,15 @@ def cmd_estimate(args) -> int:
     for j in range(J):  # shifting by exactly zero is the identity
         if alpha_full[j] == 0.0:
             aligned[j] = curves.samples[j]
-    t_col = times if times is not None else None
-    header = (["t"] if t_col is not None else []) + names
-    rows = []
-    for i in range(n):
-        row = ([t_col[i]] if t_col is not None else []) + [aligned[j, i] for j in range(J)]
-        rows.append(row)
-    _write_csv(out_dir / "aligned.csv", header, rows)
-
+    t_col = [] if times is None else [times]
+    t_name = [] if times is None else ["t"]
+    _write_array_csv(out_dir / "aligned.csv", t_name + names, np.column_stack(t_col + [aligned.T]))
     raw_mean = curves.samples.mean(axis=0)
-    aligned_mean = aligned.mean(axis=0)
-    header = (["t"] if t_col is not None else []) + ["raw_mean", "aligned_mean"]
-    rows = []
-    for i in range(n):
-        row = ([t_col[i]] if t_col is not None else []) + [raw_mean[i], aligned_mean[i]]
-        rows.append(row)
-    _write_csv(out_dir / "mean.csv", header, rows)
+    _write_array_csv(out_dir / "mean.csv", t_name + ["raw_mean", "aligned_mean"],
+                     np.column_stack(t_col + [raw_mean, aligned.mean(axis=0)]))
 
-    _write_csv(out_dir / "covariance.csv",
-               [f"alpha_{j + 2}" for j in range(J - 1)],
-               report.gamma_hat.tolist())
+    _write_array_csv(out_dir / "covariance.csv",
+                     [f"alpha_{j + 2}" for j in range(J - 1)], report.gamma_hat)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -402,38 +400,40 @@ def cmd_simulate(args) -> int:
         raise _input_error(f"--samples {n} is even; studies need an odd grid")
     config = _optimizer_config(args)
 
+    # Every cell's spec is checked before the first study runs.
+    specs = [_build_spec(args, sigma, token, n) for sigma in sigmas for token in weight_tokens]
+
     cells = []
     replicate_rows = []
-    for sigma in sigmas:
-        for token in weight_tokens:
-            spec = _build_spec(args, sigma, token, n)
-            try:
-                summary = run_study(spec, config)
-            except ValueError as exc:
-                raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
-            label = spec.weights.kind.replace(":", "")
-            cell = {"sigma": float(sigma), "weight_label": label}
-            cell.update(summary.as_dict())
-            cells.append(cell)
-            for r in range(spec.replicates):
-                for j in range(1, spec.n_curves):
-                    replicate_rows.append([
-                        _fmt(sigma), label, str(r), str(j + 1),
-                        _fmt(summary.theta_true[r, j]), _fmt(summary.theta_hat[r, j]),
-                        _fmt(summary.alpha_true[r, j - 1]), _fmt(summary.alpha_hat[r, j - 1]),
-                        _fmt(summary.theta_hat_landmark[r, j]),
-                    ])
-            if spec.n_curves == 2:
-                rep = generate(spec, 0)
-                ctx = CriterionContext(transform(rep.curves), spec.weights)
-                grid = np.linspace(-np.pi, np.pi, FIGURE_GRID_POINTS)
-                prof = grid_profile(ctx, grid)
-                stem = f"criterion_sigma{sigma:g}_{label}"
-                _write_csv(out_dir / "plotdata" / f"{stem}.csv",
-                           ["alpha", "criterion"], np.column_stack([grid, prof]).tolist())
-                _write_line_svg(out_dir / "figures" / f"{stem}.svg", grid, prof,
-                                f"criterion vs alpha (sigma={sigma:g}, {label})",
-                                "alpha", "criterion")
+    for spec in specs:
+        sigma = spec.sigma
+        try:
+            summary = run_study(spec, config)
+        except ValueError as exc:
+            raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
+        label = spec.weights.kind.replace(":", "")
+        cell = {"sigma": float(sigma), "weight_label": label}
+        cell.update(summary.as_dict())
+        cells.append(cell)
+        for r in range(spec.replicates):
+            for j in range(1, spec.n_curves):
+                replicate_rows.append([
+                    _fmt(sigma), label, str(r), str(j + 1),
+                    _fmt(summary.theta_true[r, j]), _fmt(summary.theta_hat[r, j]),
+                    _fmt(summary.alpha_true[r, j - 1]), _fmt(summary.alpha_hat[r, j - 1]),
+                    _fmt(summary.theta_hat_landmark[r, j]),
+                ])
+        if spec.n_curves == 2:
+            rep = generate(spec, 0)
+            ctx = CriterionContext(transform(rep.curves), spec.weights)
+            grid = np.linspace(-np.pi, np.pi, FIGURE_GRID_POINTS)
+            prof = grid_profile(ctx, grid)
+            stem = f"criterion_sigma{sigma:g}_{label}"
+            _write_array_csv(out_dir / "plotdata" / f"{stem}.csv",
+                             ["alpha", "criterion"], np.column_stack([grid, prof]))
+            _write_line_svg(out_dir / "figures" / f"{stem}.svg", grid, prof,
+                            f"criterion vs alpha (sigma={sigma:g}, {label})",
+                            "alpha", "criterion")
 
     _write_csv(out_dir / "replicates.csv",
                ["sigma", "weights", "replicate", "curve", "theta_true", "theta_hat",

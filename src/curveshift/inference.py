@@ -40,7 +40,12 @@ __all__ = [
 ]
 
 # Rational approximation of the standard normal quantile (Acklam), relative
-# error below 1.2e-9, then one Halley step that brings it to rounding level.
+# error below 1.2e-9, then one Halley step against erfc.  Measured against
+# 40-digit references, the step reaches rounding level on most of (0, 1) but
+# not everywhere: near p = 0.5 the relative error stays up to 1.1e-9 (the
+# absolute error there is below 1e-15), and above p = 1 - 1e-6 the cdf it
+# corrects against cancels, so the absolute error grows to 8.4e-9 at
+# 1 - p = 1e-13.  The lower tail stays below 2e-15.
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -59,7 +64,11 @@ def _polyval(coeffs, x):
 
 
 def norm_ppf(p):
-    """Standard normal quantile, accurate to rounding level on (0, 1)."""
+    """Standard normal quantile on (0, 1), to a relative error below 1.2e-9.
+
+    Most values are within a few units in the last place; the exceptions are
+    p near 0.5 and p above 1 - 1e-6 (see the note on the constants).
+    """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 0
     p = np.atleast_1d(p)

@@ -1,10 +1,14 @@
 """Minimization of the shift contrast over the pinned phase space.
 
 The contrast is smooth but non-convex (multi-modal for weakly damped
-weights), so the minimizer is run from several starting points and the best
-run wins.  Starts come from a coarse phase-correlation scan of each curve
-against the first one, which lands inside the basin of the true shifts for
-any reasonable signal-to-noise ratio, plus the zero vector.
+weights), so the start decides which basin Newton ends in.  The start comes
+from a weighted cross-correlation scan of each curve against the first one:
+for J = 2 that correlation is a constant minus twice the contrast, so the
+scan is a global search up to its grid step 2pi/(8n).  Under weights flagged
+by `WeightScheme.fluctuation_warning` (unit, power <= 1.25) the contrast is
+rough enough that the scan start can miss the lowest basin at J > 2, so the
+unweighted n-point phase-correlation lag and the zero vector run as well, and
+the best run wins.
 
 Each run is Newton's method on the exact analytic Hessian, safeguarded as in
 Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
@@ -24,7 +28,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian, _value,
                         full_phases, wrap_phase)
-from .fourier import rephase
+from .fourier import SpectralTable, rephase
 
 __all__ = ["OptimizerConfig", "EstimationResult", "initialize", "minimize"]
 
@@ -58,36 +62,47 @@ class EstimationResult:
     trace: tuple | None = None  # accepted criterion values, when requested
 
 
-def initialize(ctx: CriterionContext) -> list[np.ndarray]:
-    """Starting points: a phase-correlation candidate plus the zero vector.
+SCAN_OVERSAMPLING = 8  # scan phases per sample; a whole number keeps grid shifts exact
 
-    For each curve j >= 2 the candidate phase is 2 pi k/n at the circular lag
-    k maximizing the cross-correlation with curve 1, computed directly from
-    the coefficient table.  Curves whose cross spectrum carries no energy
-    outside l = 0 give no information and fall back to 0; if that happens for
-    every curve only the zero vector is returned.
+
+def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndarray:
+    """Free phases 2 pi k/m maximizing each curve's w2-weighted correlation with curve 1.
+
+    Curve j's correlation at phase a is Re sum_l w2_l d_jl conj(d_1l) exp(i l a),
+    evaluated at a = 2 pi k/m, k = 0..m-1 (m >= n), by one real inverse FFT
+    over the J-1 rows of its folded half spectrum l = 0..L.
+    """
+    L = table.max_frequency
+    cross = w2 * table.coeffs[1:] * np.conj(table.coeffs[0])
+    # Fold l < 0 onto l > 0, so that any table, not only a conjugate-symmetric
+    # one, gives the correlation above (up to the factor m/2).
+    half = cross[:, L:] + np.conj(cross[:, L::-1])
+    k = np.argmax(np.fft.irfft(half, m, axis=1), axis=1)
+    k = np.where(k > m // 2, k - m, k)
+    return wrap_phase(2.0 * np.pi * k / m)
+
+
+def initialize(ctx: CriterionContext) -> list[np.ndarray]:
+    """Starting points: a weighted scan, plus the lag and zero starts under flagged weights.
+
+    The scan start maximizes each curve's correlation with curve 1 under the
+    contrast's own weights w_l^2, on m = 8n phases 2 pi k/m, k = 0..m-1.
+    Shifts on the sample grid (multiples of 2 pi/n) are on the scan grid, so
+    noiseless grid shifts are found exactly.  A curve whose weighted cross
+    spectrum is zero has a constant correlation and starts at 0.  When the
+    weights carry a fluctuation warning, the unweighted lag on the n-point
+    grid and the zero vector are added; duplicates are dropped.
     """
     table = ctx.table
-    J, n = table.n_curves, table.n_samples
-    L = table.max_frequency
-    zero = np.zeros(J - 1)
-    candidate = np.zeros(J - 1)
-    informative = False
-    d1 = table.coeffs[0]
-    for j in range(1, J):
-        p = table.coeffs[j] * np.conj(d1)
-        off_zero = np.abs(np.delete(p, L))
-        if not np.any(off_zero > 0):
-            continue
-        informative = True
-        corr = np.fft.ifft(np.fft.ifftshift(p)).real * n
-        k = int(np.argmax(corr))
-        if k > n // 2:
-            k -= n
-        candidate[j - 1] = wrap_phase(2.0 * np.pi * k / n)
-    if not informative or np.array_equal(candidate, zero):
-        return [zero]
-    return [candidate, zero]
+    n = table.n_samples
+    starts = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
+    if ctx.weights.fluctuation_warning is not None:
+        starts += [_correlation_argmax(table, np.ones(n), n), np.zeros(table.n_curves - 1)]
+    unique: list[np.ndarray] = []
+    for x0 in starts:
+        if not any(np.array_equal(x0, u) for u in unique):
+            unique.append(x0)
+    return unique
 
 
 def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:

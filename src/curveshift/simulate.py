@@ -79,8 +79,8 @@ class SimulationSpec:
             raise ValueError("n_samples must be odd; truncate the grid first")
         if self.n_samples < 3 or self.n_curves < 2:
             raise ValueError("need n >= 3 samples and J >= 2 curves")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if not 0 <= self.seed < 2**64:

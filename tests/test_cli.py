@@ -338,6 +338,24 @@ class TestSimulate:
         assert rc == 2
         assert "64-bit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys, command, sigma):
+        out = tmp_path / "s"
+        rc = main([command, "--output-dir", str(out), "--replicates", "2", "--samples", "51",
+                   "--curves", "2", f"--sigma={sigma}"])
+        assert rc == 2
+        assert "input: sigma must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_every_cell_checked_before_the_first_study(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        rc = main(["simulate", "--output-dir", str(out), "--replicates", "2", "--samples", "51",
+                   "--curves", "2", "--sigma", "1,nan"])
+        assert rc == 2
+        assert "input: sigma must be finite" in capsys.readouterr().err
+        assert list((out / "plotdata").iterdir()) == []
+
     def test_pattern_file(self, tmp_path):
         n = 51
         t = np.arange(n) * T / n

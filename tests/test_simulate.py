@@ -56,6 +56,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="sigma"):
             SimulationSpec(pattern="cosine", sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            SimulationSpec(pattern="cosine", sigma=sigma)
+
     @pytest.mark.parametrize("period", [-1.0, 0.0, np.nan, np.inf])
     def test_bad_period_rejected(self, period):
         with pytest.raises(ValueError, match="period"):
