@@ -493,6 +493,9 @@ def cmd_compare_landmark(args) -> int:
         return 0
 
     sigmas, weight_tokens = _study_cells(args)
+    if len(sigmas) > 1 or len(weight_tokens) > 1:
+        raise _input_error("compare-landmark runs one study: give one --sigma value "
+                           "and one --weights spec")
     spec = _build_spec(args, sigmas[0], weight_tokens[0], args.samples)
     try:
         summary = run_study(spec, config, landmark_config)

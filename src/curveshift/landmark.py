@@ -2,10 +2,12 @@
 
 Curves are first denoised by a Nadaraya-Watson smoother with a Gaussian
 kernel and circular distance on the period, which on the equispaced grid
-reduces to a circular convolution with constant normalization.  The discrete
-argmax of the smoothed curve is then refined by a parabola through the three
-surrounding points, and each curve's shift is reported as the offset of its
-refined maximum from the first curve's.
+reduces to a circular convolution with constant normalization.  All J curves
+are smoothed together, by one real FFT pair over the (J, n) matrix and one
+FFT of the kernel.  The discrete argmax of each smoothed curve is then
+refined by a parabola through the three surrounding points, and each curve's
+shift is reported as the offset of its refined maximum from the first
+curve's.
 
 This uses only the landmark (one point per curve) instead of the full data,
 which is what makes it a baseline rather than a competitor.
@@ -54,14 +56,16 @@ def default_bandwidth(n: int, period: float) -> float:
 def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.ndarray:
     """Nadaraya-Watson estimate of a curve on its own grid, periodic metric.
 
-    Linear in the curve values; reproduces constants exactly, and collapses
-    to the identity as the bandwidth shrinks below the grid spacing.
+    Acts on the last axis: a (J, n) matrix is smoothed row by row, with one
+    FFT pair for all rows.  Linear in the curve values; reproduces constants
+    exactly, and collapses to the identity as the bandwidth shrinks below the
+    grid spacing.
     """
     y = np.asarray(curve, dtype=float)
-    if y.ndim != 1 or y.size < 3:
-        raise ValueError("curve must be a vector with n >= 3")
+    if y.ndim == 0 or y.shape[-1] < 3:
+        raise ValueError("curve must have n >= 3 samples on its last axis")
     config = config or LandmarkConfig()
-    n = y.size
+    n = y.shape[-1]
     h = config.resolve_bandwidth(n, period)
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
@@ -75,7 +79,13 @@ def max_location(curve, period: float, config: LandmarkConfig | None = None) -> 
     Raises if the maximum is ambiguous: several non-adjacent grid points tie
     within FLAT_TOLERANCE (a flat curve, or one with several equal peaks).
     """
-    sm = smooth(curve, period, config)
+    if np.ndim(curve) != 1:
+        raise ValueError("curve must be a vector with n >= 3")
+    return _refined_max(smooth(curve, period, config), period)
+
+
+def _refined_max(sm: np.ndarray, period: float) -> float:
+    """`max_location` of an already smoothed curve."""
     n = sm.size
     top = float(sm.max())
     ties = np.flatnonzero(sm >= top - FLAT_TOLERANCE)
@@ -112,9 +122,9 @@ def landmark_shifts(
     T = curves.period
     locs = np.full(curves.n_curves, np.nan)
     ok = np.zeros(curves.n_curves, dtype=bool)
-    for j, row in enumerate(curves.samples):
+    for j, row in enumerate(smooth(curves.samples, T, config)):
         try:
-            locs[j] = max_location(row, T, config)
+            locs[j] = _refined_max(row, T)
             ok[j] = True
         except ValueError:
             pass

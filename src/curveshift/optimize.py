@@ -4,11 +4,13 @@ The contrast is smooth but non-convex (multi-modal for weakly damped
 weights), so the start decides which basin Newton ends in.  The start comes
 from a weighted cross-correlation scan of each curve against the first one:
 for J = 2 that correlation is a constant minus twice the contrast, so the
-scan is a global search up to its grid step 2pi/(8n).  Under weights flagged
-by `WeightScheme.fluctuation_warning` (unit, power <= 1.25) the contrast is
-rough enough that the scan start can miss the lowest basin at J > 2, so the
-unweighted n-point phase-correlation lag and the zero vector run as well, and
-the best run wins.
+scan is a global search up to its grid step 2pi/(8n).  The scan is exact on
+that grid but coarse to fine: one length-n inverse FFT, then direct sums in
+the few grid cells that a curvature bound cannot rule out.  Under weights
+flagged by `WeightScheme.fluctuation_warning` (unit, power <= 1.25) the
+contrast is rough enough that the scan start can miss the lowest basin at
+J > 2, so the unweighted n-point phase-correlation lag and the zero vector run
+as well, and the best run wins.
 
 Each run is Newton's method on the exact analytic Hessian, safeguarded as in
 Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
@@ -63,21 +65,62 @@ class EstimationResult:
 
 
 SCAN_OVERSAMPLING = 8  # scan phases per sample; a whole number keeps grid shifts exact
+REFINE_BLOCK = 1 << 16  # phasor entries per refinement block; bounds its memory
 
 
 def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndarray:
     """Free phases 2 pi k/m maximizing each curve's w2-weighted correlation with curve 1.
 
     Curve j's correlation at phase a is Re sum_l w2_l d_jl conj(d_1l) exp(i l a),
-    evaluated at a = 2 pi k/m, k = 0..m-1 (m >= n), by one real inverse FFT
-    over the J-1 rows of its folded half spectrum l = 0..L.
+    maximized over a = 2 pi k/m, k = 0..m-1, where m = q n is a whole multiple
+    of n.  The scan is exact on that grid without evaluating all of it.  Folded
+    onto l = 0..L as p_l, the correlation is n/2 times
+    f(a) = (1/n) Re sum_l s_l p_l exp(i l a), with s_0 = 1 and s_l = 2 otherwise.
+    One real inverse FFT of length n gives f at the coarse points k = q c.  On
+    a coarse cell of width h = 2 pi/n, f exceeds its larger endpoint by at most
+    (h^2/8) max|f''| <= (h^2/8)(1/n) sum_l s_l l^2 |p_l|.  Only the cells
+    within that bound (plus a rounding allowance) of the coarse maximum are
+    refined: their q-1 interior points are summed directly, as one matrix
+    product with phasors taken from the n roots of unity.  Values within the
+    rounding allowance of the maximum count as ties and the smallest k wins,
+    so an exact tie does not depend on how the FFT rounded.  With q = 1 this
+    is the coarse scan alone.
     """
-    L = table.max_frequency
+    n, L = table.n_samples, table.max_frequency
+    q = m // n
     cross = w2 * table.coeffs[1:] * np.conj(table.coeffs[0])
     # Fold l < 0 onto l > 0, so that any table, not only a conjugate-symmetric
-    # one, gives the correlation above (up to the factor m/2).
+    # one, gives the correlation above.
     half = cross[:, L:] + np.conj(cross[:, L::-1])
-    k = np.argmax(np.fft.irfft(half, m, axis=1), axis=1)
+    coarse = np.fft.irfft(half, n, axis=1)
+    ls = np.arange(L + 1)
+    terms = half * (np.where(ls == 0, 1.0, 2.0) / n)  # f(a) = Re sum_l terms_l exp(i l a)
+    size = np.abs(terms)
+    # Bounds the rounding of either evaluation of f; the cell test below
+    # allows it three times (coarse endpoint, interior value, tie).
+    tol = 2 * n * np.finfo(float).eps * size.sum(axis=1)
+    best = coarse.max(axis=1)
+    rows = cells = np.zeros(0, dtype=int)
+    if q > 1:
+        slack = (2.0 * np.pi / n) ** 2 / 8.0 * (size @ ls**2)
+        ends = np.maximum(coarse, np.roll(coarse, -1, axis=1))
+        # Cell c lies between coarse points c and c + 1 (mod n).
+        rows, cells = np.nonzero(ends + (slack + 3.0 * tol)[:, None] > best[:, None])
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        inner = np.exp(2j * np.pi * np.outer(ls, np.arange(1, q)) / m)
+        fine = np.empty((rows.size, q - 1))
+        block = max(1, REFINE_BLOCK // (L + 1))
+        for lo in range(0, rows.size, block):
+            r, c = rows[lo:lo + block], cells[lo:lo + block]
+            fine[lo:lo + block] = ((terms[r] * roots[np.outer(c, ls) % n]) @ inner).real
+        np.maximum.at(best, rows, fine.max(axis=1))
+    floor = best - tol
+    hit = coarse >= floor[:, None]
+    k = np.where(hit.any(axis=1), q * np.argmax(hit, axis=1), m)
+    if rows.size:
+        hit = fine >= floor[rows, None]
+        k_fine = np.where(hit.any(axis=1), q * cells + 1 + np.argmax(hit, axis=1), m)
+        np.minimum.at(k, rows, k_fine)
     k = np.where(k > m // 2, k - m, k)
     return wrap_phase(2.0 * np.pi * k / m)
 
@@ -86,12 +129,15 @@ def initialize(ctx: CriterionContext) -> list[np.ndarray]:
     """Starting points: a weighted scan, plus the lag and zero starts under flagged weights.
 
     The scan start maximizes each curve's correlation with curve 1 under the
-    contrast's own weights w_l^2, on m = 8n phases 2 pi k/m, k = 0..m-1.
-    Shifts on the sample grid (multiples of 2 pi/n) are on the scan grid, so
-    noiseless grid shifts are found exactly.  A curve whose weighted cross
-    spectrum is zero has a constant correlation and starts at 0.  When the
-    weights carry a fluctuation warning, the unweighted lag on the n-point
-    grid and the zero vector are added; duplicates are dropped.
+    contrast's own weights w_l^2, on m = 8n phases 2 pi k/m, k = 0..m-1: a
+    length-n inverse FFT scans every eighth phase, and only the cells between
+    those that can hold the maximum are summed directly
+    (`_correlation_argmax`).  Shifts on the sample grid (multiples of
+    2 pi/n) are on the scan grid, so noiseless grid shifts are found exactly.
+    A curve whose weighted cross spectrum is zero has a constant correlation
+    and starts at 0.  When the weights carry a fluctuation warning, the
+    unweighted lag on the n-point grid and the zero vector are added;
+    duplicates are dropped.
     """
     table = ctx.table
     n = table.n_samples

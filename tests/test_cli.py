@@ -488,6 +488,17 @@ class TestCompareLandmark:
         header, rows = read_csv(tmp_path / "cmp" / "comparison.csv")
         assert not rows[:, header.index("landmark_ok")].any()
 
+    @pytest.mark.parametrize("option", [["--sigma", "1,2"], ["--sigma", "1,nan"],
+                                        ["--weights", "unit,power:2"]])
+    def test_simulation_mode_takes_one_cell(self, tmp_path, capsys, option):
+        out = tmp_path / "cmp"
+        rc = main(["compare-landmark", "--output-dir", str(out), "--curves", "2",
+                   "--samples", "51", "--replicates", "2"] + option)
+        assert rc == 2
+        assert "input: compare-landmark runs one study" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+        assert not (out / "report.json").exists()
+
 
 class TestPatternRegistry:
     def test_patterns_available(self):
