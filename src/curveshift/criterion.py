@@ -92,17 +92,20 @@ class ConstrainedShift:
 
 
 def full_phases(alpha, n_curves: int) -> np.ndarray:
-    """All J phases, leading zero first, from J-1 free phases or a ConstrainedShift."""
+    """All J phases, leading zero first, from J-1 free phases or a ConstrainedShift.
+
+    Free phases stacked on leading axes, (..., J-1), give (..., J).
+    """
     if isinstance(alpha, ConstrainedShift):
         free = alpha.free
     else:
         free = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if free.shape != (n_curves - 1,):
+    if free.shape[-1:] != (n_curves - 1,):
         raise ValueError(
             f"expected {n_curves - 1} free phases for {n_curves} curves, "
             f"got shape {free.shape}"
         )
-    return np.concatenate(([0.0], free))
+    return np.concatenate((np.zeros(free.shape[:-1] + (1,)), free), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -125,37 +128,40 @@ class CriterionContext:
 
 # The formulas on the rephased coefficients ct = rephase(table, phases), for a
 # caller (the optimizer) that reuses one ct for value, gradient and Hessian.
+# Each acts on the last two axes, so a stack (P, J, 2L+1) of rephased tables
+# gives P values, P gradients and P Hessians.
 
-def _value(ctx: CriterionContext, ct: np.ndarray) -> float:
-    resid = ct - ct.mean(axis=0)
-    return float(np.sum(ctx.weights.values**2 * np.mean(np.abs(resid) ** 2, axis=0)))
+def _value(ctx: CriterionContext, ct: np.ndarray):
+    resid = ct - ct.mean(axis=-2, keepdims=True)
+    return np.sum(ctx.weights.values**2 * np.mean(np.abs(resid) ** 2, axis=-2), axis=-1)
 
 
 def _gradient(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
     w2l = ctx.weights.values**2 * ctx.table.frequencies
-    terms = w2l * np.imag(ct * np.conj(ct.mean(axis=0)))
-    return (2.0 / ct.shape[0]) * np.sum(terms[1:], axis=1)
+    terms = w2l * np.imag(ct * np.conj(ct.mean(axis=-2, keepdims=True)))
+    return (2.0 / ct.shape[-2]) * np.sum(terms[..., 1:, :], axis=-1)
 
 
 def _hessian(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
-    J = ct.shape[0]
+    J = ct.shape[-2]
     w2l2 = ctx.weights.values**2 * ctx.table.frequencies**2
     # C[k, m] = sum_l w2 l^2 Re(ct_kl conj(ct_ml)) over all J curves.
-    C = np.real((ct * w2l2) @ ct.conj().T)
-    H = -C[1:, 1:].copy()
-    diag = C.sum(axis=1) - np.diag(C)  # sum over j != k
-    H[np.diag_indices_from(H)] = diag[1:]
+    C = np.real((ct * w2l2) @ np.swapaxes(ct.conj(), -1, -2))
+    H = -C[..., 1:, 1:]
+    diag = C.sum(axis=-1) - np.diagonal(C, axis1=-2, axis2=-1)  # sum over j != k
+    k = np.arange(J - 1)
+    H[..., k, k] = diag[..., 1:]
     return (2.0 / J**2) * H
 
 
 def evaluate_unconstrained(ctx: CriterionContext, phases) -> float:
     """Contrast for all J phases free (used to test common-phase invariance)."""
-    return _value(ctx, rephase(ctx.table, phases).coeffs)
+    return float(_value(ctx, rephase(ctx.table, phases).coeffs))
 
 
 def evaluate(ctx: CriterionContext, alpha) -> float:
     """Contrast value at constrained phases (alpha_1 = 0).  Nonnegative."""
-    return _value(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs)
+    return float(_value(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs))
 
 
 def gradient(ctx: CriterionContext, alpha) -> np.ndarray:

@@ -38,19 +38,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurveSet:
-    """J real curves sampled on the common grid t_i = (i-1)T/n, i = 1..n."""
+    """J real curves sampled on the common grid t_i = (i-1)T/n, i = 1..n.
 
-    samples: np.ndarray  # (J, n) float
+    Leading axes, if any, stack independent sets of J curves (a Monte Carlo
+    study's replicates); every transform acts on the last axis.
+    """
+
+    samples: np.ndarray  # (..., J, n) float
     period: float
 
     def __post_init__(self):
         samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2:
-            raise ValueError("samples must be a J x n matrix")
-        if samples.shape[0] < 2:
+        if samples.shape[-2] < 2:
             raise ValueError("need at least two curves (J >= 2)")
-        if samples.shape[1] < 3:
+        if samples.shape[-1] < 3:
             raise ValueError("need at least three samples per curve (n >= 3)")
         if not np.all(np.isfinite(samples)):
             raise ValueError("curve samples must be finite")
@@ -59,11 +61,11 @@ class CurveSet:
 
     @property
     def n_curves(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def n_samples(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
     @property
     def times(self) -> np.ndarray:
@@ -73,30 +75,33 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Per-curve Fourier coefficients d_{jl}, columns ordered l = -L..L."""
+    """Per-curve Fourier coefficients d_{jl}, columns ordered l = -L..L.
 
-    coeffs: np.ndarray  # (J, 2L+1) complex
+    Leading axes, if any, stack independent J-curve tables, as in `CurveSet`.
+    """
+
+    coeffs: np.ndarray  # (..., J, 2L+1) complex
     period: float
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 2 or coeffs.shape[1] % 2 == 0:
+        if coeffs.shape[-1] % 2 == 0:
             raise ValueError("coefficient table must be J x (2L+1)")
         if not self.period > 0:
             raise ValueError("period must be positive")
 
     @property
     def n_curves(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     @property
     def n_samples(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def max_frequency(self) -> int:
-        return (self.coeffs.shape[1] - 1) // 2
+        return (self.coeffs.shape[-1] - 1) // 2
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -187,13 +192,13 @@ def _require_odd(n: int) -> int:
 
 
 def forward_dft(samples, period: float) -> np.ndarray:
-    """Normalized DFT of one curve, or of each row of a J x n matrix, in l = -L..L order.
+    """Normalized DFT of one curve, or of every curve along the last axis, in l = -L..L order.
 
     c_l = (1/n) sum_{m=0}^{n-1} x_m exp(-i 2 pi m l / n).  Requires odd n.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("samples must be one curve or a matrix of curves")
+    if x.ndim < 1:
+        raise ValueError("samples must be one curve or an array of curves")
     _require_odd(x.shape[-1])
     if not np.all(np.isfinite(x)):
         raise ValueError("curve samples must be finite")
@@ -228,18 +233,20 @@ def synthesize(table: SpectralTable) -> CurveSet:
 def rephase(table: SpectralTable, alpha) -> SpectralTable:
     """Undo candidate phase shifts: d_{jl} -> exp(i l alpha_j) d_{jl}.
 
-    `alpha` has one entry per curve, in radians.  Rephasing preserves the
-    modulus of every coefficient.
+    `alpha` has one entry per curve, in radians, on its last axis.  Its
+    leading axes broadcast against the table's: P phase vectors (P, J) rephase
+    one (J, 2L+1) table P ways, or a stack of P tables one way each.
+    Rephasing preserves the modulus of every coefficient.
     """
     a = np.asarray(alpha, dtype=float)
-    if a.shape != (table.n_curves,):
+    if a.ndim < 1 or a.shape[-1] != table.n_curves:
         raise ValueError("alpha must have one entry per curve")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    phases = np.exp(1j * np.outer(a, table.frequencies))
+    phases = np.exp(1j * (a[..., None] * table.frequencies))
     return SpectralTable(coeffs=table.coeffs * phases, period=table.period)
 
 
 def mean_rephased(table: SpectralTable, alpha) -> np.ndarray:
     """Cross-curve mean of the rephased coefficients, one value per l."""
-    return rephase(table, alpha).coeffs.mean(axis=0)
+    return rephase(table, alpha).coeffs.mean(axis=-2)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .criterion import ConstrainedShift, full_phases
-from .fourier import SpectralTable, WeightScheme, mean_rephased, rephase
+from .fourier import SpectralTable, WeightScheme, rephase
 
 __all__ = [
     "CovarianceReport",
@@ -36,6 +36,7 @@ __all__ = [
     "estimate_noise_variance",
     "estimate_gamma",
     "gamma_from_power",
+    "interval_half_widths",
     "confidence_intervals",
 ]
 
@@ -106,6 +107,38 @@ class CovarianceReport:
     confidence_level: float
 
 
+def _noise_variance(ct: np.ndarray):
+    """sigma2_hat from coefficients rephased at alpha_hat, one per table of a stack."""
+    J, n = ct.shape[-2], ct.shape[-1]
+    resid = ct - ct.mean(axis=-2, keepdims=True)
+    per_l = np.sum(np.abs(resid) ** 2, axis=-2)
+    return n / (J - 1) * per_l.mean(axis=-1)
+
+
+def _debiased_power(ct: np.ndarray, sigma2) -> np.ndarray:
+    """|cb_l|^2 - sigma2/(n J), floored at zero, from coefficients rephased at alpha_hat."""
+    J, n = ct.shape[-2], ct.shape[-1]
+    bias = np.asarray(sigma2)[..., None] / (n * J)
+    return np.maximum(np.abs(ct.mean(axis=-2)) ** 2 - bias, 0.0)
+
+
+def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
+    """The scalar of Gamma = scalar (I + U) for each row of |c_l|^2.
+
+    NaN where no weighted frequency carries positive power.
+    """
+    L = weights.max_frequency
+    ls = np.arange(-L, L + 1, dtype=float)
+    w2 = weights.values**2
+    denom = np.sum(w2 * ls**2 * magnitudes_sq, axis=-1)
+    numer = np.sum(w2**2 * ls**2 * magnitudes_sq, axis=-1)
+    # In Python floats: pow(d, 2) and numpy's d * d differ in the last bit
+    # for about one d in a thousand.
+    scalar = [u / d**2 if d > 0.0 else np.nan
+              for u, d in zip(np.ravel(numer).tolist(), np.ravel(denom).tolist())]
+    return np.reshape(scalar, np.shape(denom))
+
+
 def estimate_noise_variance(table: SpectralTable, alpha_hat) -> float:
     """Noise variance from the within-frequency residual dispersion.
 
@@ -116,10 +149,7 @@ def estimate_noise_variance(table: SpectralTable, alpha_hat) -> float:
     """
     if table.n_curves < 2:
         raise ValueError("noise variance is unidentifiable from a single curve")
-    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
-    resid = ct - ct.mean(axis=0)
-    per_l = np.sum(np.abs(resid) ** 2, axis=0)
-    return float(table.n_samples / (table.n_curves - 1) * per_l.mean())
+    return float(_noise_variance(rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs))
 
 
 def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
@@ -127,17 +157,12 @@ def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.
     m = np.asarray(magnitudes_sq, dtype=float)
     if m.shape != weights.values.shape:
         raise ValueError("magnitude vector does not match the weight range")
-    L = weights.max_frequency
-    ls = np.arange(-L, L + 1, dtype=float)
-    w2 = weights.values**2
-    denom = float(np.sum(w2 * ls**2 * m))
-    if denom <= 0.0:
+    scalar = float(_gamma_scalar(m, weights))
+    if np.isnan(scalar):
         raise ValueError(
             "signal energy indistinguishable from noise: no weighted frequency "
             "carries positive estimated pattern power"
         )
-    numer = float(np.sum(w2**2 * ls**2 * m))
-    scalar = numer / denom**2
     k = n_curves - 1
     return scalar * (np.eye(k) + np.ones((k, k)))
 
@@ -149,10 +174,22 @@ def estimate_gamma(table: SpectralTable, weights: WeightScheme, alpha_hat, sigma
     zero; the correction removes the noise contribution to the mean
     coefficient's modulus.
     """
-    cbar = mean_rephased(table, full_phases(alpha_hat, table.n_curves))
-    bias = sigma2_hat / (table.n_samples * table.n_curves)
-    m = np.maximum(np.abs(cbar) ** 2 - bias, 0.0)
-    return gamma_from_power(m, weights, table.n_curves)
+    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
+    return gamma_from_power(_debiased_power(ct, sigma2_hat), weights, table.n_curves)
+
+
+def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
+    """Plug-in interval half-widths for a stack of tables rephased at their alpha_hat.
+
+    `ct` is (R, J, 2L+1).  Gamma's diagonal is 2 * scalar for every shift, so
+    one half-width z sqrt(sigma2 gamma_jj / n) serves all J-1 shifts of a
+    table.  Returns (R,) half-widths, NaN where `gamma_from_power` would
+    raise; the values are those of `confidence_intervals`.
+    """
+    sigma2 = _noise_variance(ct)
+    scalar = _gamma_scalar(_debiased_power(ct, sigma2), weights)
+    z = norm_ppf(0.5 * (1.0 + level))
+    return z * np.sqrt(sigma2 * (scalar * 2.0) / ct.shape[-1])
 
 
 def confidence_intervals(
@@ -174,10 +211,14 @@ def confidence_intervals(
     alpha_hat = getattr(result, "alpha_hat", result)
     if not isinstance(alpha_hat, ConstrainedShift):
         alpha_hat = ConstrainedShift(free=np.asarray(alpha_hat, dtype=float))
-    if sigma2 is None:
-        sigma2 = estimate_noise_variance(table, alpha_hat)
-    if gamma is None:
-        gamma = estimate_gamma(table, weights, alpha_hat, sigma2)
+    if sigma2 is None or gamma is None:  # one rephase serves both estimates
+        if table.n_curves < 2:
+            raise ValueError("noise variance is unidentifiable from a single curve")
+        ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
+        if sigma2 is None:
+            sigma2 = float(_noise_variance(ct))
+        if gamma is None:
+            gamma = gamma_from_power(_debiased_power(ct, sigma2), weights, table.n_curves)
     n = table.n_samples
     se = np.sqrt(sigma2 * np.diag(gamma) / n)
     z = norm_ppf(0.5 * (1.0 + level))

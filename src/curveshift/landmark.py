@@ -2,12 +2,13 @@
 
 Curves are first denoised by a Nadaraya-Watson smoother with a Gaussian
 kernel and circular distance on the period, which on the equispaced grid
-reduces to a circular convolution with constant normalization.  All J curves
-are smoothed together, by one real FFT pair over the (J, n) matrix and one
-FFT of the kernel.  The discrete argmax of each smoothed curve is then
-refined by a parabola through the three surrounding points, and each curve's
-shift is reported as the offset of its refined maximum from the first
-curve's.
+reduces to a circular convolution with constant normalization.  All curves
+are smoothed together, by one real FFT pair over the (J, n) matrix, or over
+a study's stacked (R, J, n) curves, and one FFT of the kernel.  The discrete
+argmax of each smoothed curve is then refined by a parabola through the
+three surrounding points, for all curves at once, and each curve's shift is
+reported as the offset of its refined maximum from the first curve's of its
+set.
 
 This uses only the landmark (one point per curve) instead of the full data,
 which is what makes it a baseline rather than a competitor.
@@ -81,24 +82,35 @@ def max_location(curve, period: float, config: LandmarkConfig | None = None) -> 
     """
     if np.ndim(curve) != 1:
         raise ValueError("curve must be a vector with n >= 3")
-    return _refined_max(smooth(curve, period, config), period)
+    loc, ok = _refined_max(smooth(curve, period, config), period)
+    if not ok:
+        raise ValueError("landmark undefined: curve maximum is not unique within tolerance")
+    return float(loc)
 
 
-def _refined_max(sm: np.ndarray, period: float) -> float:
-    """`max_location` of an already smoothed curve."""
-    n = sm.size
-    top = float(sm.max())
-    ties = np.flatnonzero(sm >= top - FLAT_TOLERANCE)
-    if len(ties) > 3 or _circular_span(ties, n) > 2:
-        raise ValueError(
-            "landmark undefined: curve maximum is not unique within tolerance"
-        )
-    i = int(np.argmax(sm))
-    left, mid, right = sm[(i - 1) % n], sm[i], sm[(i + 1) % n]
+def _refined_max(sm: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
+    """(locations, ok) of the maxima of already smoothed curves, along the last axis.
+
+    ok is False where the maximum is ambiguous (see `max_location`); the
+    location there is meaningless.
+    """
+    n = sm.shape[-1]
+    rows = sm.reshape(-1, n)
+    top = rows.max(axis=1)
+    tied = rows >= (top - FLAT_TOLERANCE)[:, None]
+    count = tied.sum(axis=1)
+    ok = count <= 3
+    for r in np.flatnonzero(ok & (count > 1)):
+        ok[r] = _circular_span(np.flatnonzero(tied[r]), n) <= 2
+    i = np.argmax(rows, axis=1)
+    at = np.arange(rows.shape[0])
+    left, mid, right = rows[at, (i - 1) % n], rows[at, i], rows[at, (i + 1) % n]
     denom = left - 2.0 * mid + right
-    offset = 0.0 if abs(denom) < 1e-300 else 0.5 * (left - right) / denom
-    offset = float(np.clip(offset, -0.5, 0.5))
-    return ((i + offset) % n) * (period / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        offset = np.where(np.abs(denom) < 1e-300, 0.0, 0.5 * (left - right) / denom)
+    offset = np.clip(offset, -0.5, 0.5)
+    locs = ((i + offset) % n) * (period / n)
+    return locs.reshape(sm.shape[:-1]), ok.reshape(sm.shape[:-1])
 
 
 def _circular_span(indices: np.ndarray, n: int) -> int:
@@ -117,21 +129,17 @@ def landmark_shifts(
     undefined (see `max_location`); shifts[j] is then NaN, and every shift is
     NaN when curve 1's is.  Otherwise entry j is the maximum location of
     curve j minus that of curve 1, wrapped to (-T/2, T/2], and entry 0 is
-    exactly zero.
+    exactly zero.  A stacked CurveSet (..., J, n) gives (..., J) arrays, each
+    set's shifts relative to its own curve 1, from one smoothing of all its
+    curves.
     """
     T = curves.period
-    locs = np.full(curves.n_curves, np.nan)
-    ok = np.zeros(curves.n_curves, dtype=bool)
-    for j, row in enumerate(smooth(curves.samples, T, config)):
-        try:
-            locs[j] = _refined_max(row, T)
-            ok[j] = True
-        except ValueError:
-            pass
-    shifts = np.full(curves.n_curves, np.nan)
-    if ok[0]:
-        shifts[ok] = wrap_time(locs[ok] - locs[0], T)
-        shifts[0] = 0.0
+    locs, ok = _refined_max(smooth(curves.samples, T, config), T)
+    shifts = np.full(locs.shape, np.nan)
+    first = ok[..., :1]
+    rel = ok & first
+    shifts[rel] = wrap_time((locs - locs[..., :1])[rel], T)
+    shifts[..., 0] = np.where(first[..., 0], 0.0, np.nan)
     return shifts, ok
 
 

@@ -16,9 +16,18 @@ Each run is Newton's method on the exact analytic Hessian, safeguarded as in
 Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
 -H^{-1} g when a Cholesky factorization of H succeeds and yields a descent
 direction, otherwise steepest descent -g, and a backtracking line search
-enforces sufficient decrease.  Coordinates are wrapped, not clamped: the
-contrast is exactly 2pi-periodic in every coordinate, so wrapping preserves
-values while keeping iterates in the principal box.
+enforces sufficient decrease and accepts only strictly lower values, so a run
+at the rounding floor of the contrast ends instead of stepping between equal
+values.  Coordinates are wrapped, not clamped: the contrast is exactly
+2pi-periodic in every coordinate, so wrapping preserves values while keeping
+iterates in the principal box.
+
+There is one Newton engine, `_descend`, and it runs P problems at once: the
+starts of one table (`minimize`), or every start of every replicate of a
+study block (`_minimize_tables` on a stacked (R, J, 2L+1) table).  Each
+problem keeps its own step, line search, iteration count and stopping rule,
+so it follows the same path as it would alone; the problems share each
+rephase, value, gradient and Hessian call.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian, _value,
                         full_phases, wrap_phase)
@@ -71,6 +80,8 @@ REFINE_BLOCK = 1 << 16  # phasor entries per refinement block; bounds its memory
 def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndarray:
     """Free phases 2 pi k/m maximizing each curve's w2-weighted correlation with curve 1.
 
+    Returns (J-1,) phases for one table and (R, J-1) for a stack of R tables.
+
     Curve j's correlation at phase a is Re sum_l w2_l d_jl conj(d_1l) exp(i l a),
     maximized over a = 2 pi k/m, k = 0..m-1, where m = q n is a whole multiple
     of n.  The scan is exact on that grid without evaluating all of it.  Folded
@@ -88,10 +99,13 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     """
     n, L = table.n_samples, table.max_frequency
     q = m // n
-    cross = w2 * table.coeffs[1:] * np.conj(table.coeffs[0])
+    coeffs = table.coeffs
+    cross = w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :])
+    stacked = cross.shape[:-1]
     # Fold l < 0 onto l > 0, so that any table, not only a conjugate-symmetric
-    # one, gives the correlation above.
-    half = cross[:, L:] + np.conj(cross[:, L::-1])
+    # one, gives the correlation above.  Every row of every table is scanned
+    # at once.
+    half = (cross[..., L:] + np.conj(cross[..., L::-1])).reshape(-1, L + 1)
     coarse = np.fft.irfft(half, n, axis=1)
     ls = np.arange(L + 1)
     terms = half * (np.where(ls == 0, 1.0, 2.0) / n)  # f(a) = Re sum_l terms_l exp(i l a)
@@ -122,7 +136,34 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
         k_fine = np.where(hit.any(axis=1), q * cells + 1 + np.argmax(hit, axis=1), m)
         np.minimum.at(k, rows, k_fine)
     k = np.where(k > m // 2, k - m, k)
-    return wrap_phase(2.0 * np.pi * k / m)
+    return wrap_phase(2.0 * np.pi * k / m).reshape(stacked)
+
+
+def _starts(ctx: CriterionContext, restarts: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Start rows (P, J-1) for every table of ctx, and the table index of each row.
+
+    A single (J, 2L+1) table counts as table 0.  Per table the rows are the
+    scan start, then under flagged weights the lag and zero starts with
+    duplicates dropped, then `restarts` lattice starts.  Every table's scan
+    runs in one `_correlation_argmax` call, and so does every lag.
+    """
+    table = ctx.table
+    n, dim = table.n_samples, table.n_curves - 1
+    candidates = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
+    if ctx.weights.fluctuation_warning is not None:
+        candidates += [_correlation_argmax(table, np.ones(n), n), np.zeros_like(candidates[0])]
+    candidates = [c.reshape(-1, dim) for c in candidates]
+    lattice = _lattice_starts(dim, restarts) if restarts else []
+    rows: list[np.ndarray] = []
+    owner: list[int] = []
+    for r in range(candidates[0].shape[0]):
+        unique: list[np.ndarray] = []
+        for c in candidates:
+            if not any(np.array_equal(c[r], u) for u in unique):
+                unique.append(c[r])
+        rows += unique + lattice
+        owner += [r] * (len(unique) + len(lattice))
+    return np.array(rows), np.array(owner)
 
 
 def initialize(ctx: CriterionContext) -> list[np.ndarray]:
@@ -139,16 +180,7 @@ def initialize(ctx: CriterionContext) -> list[np.ndarray]:
     unweighted lag on the n-point grid and the zero vector are added;
     duplicates are dropped.
     """
-    table = ctx.table
-    n = table.n_samples
-    starts = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
-    if ctx.weights.fluctuation_warning is not None:
-        starts += [_correlation_argmax(table, np.ones(n), n), np.zeros(table.n_curves - 1)]
-    unique: list[np.ndarray] = []
-    for x0 in starts:
-        if not any(np.array_equal(x0, u) for u in unique):
-            unique.append(x0)
-    return unique
+    return list(_starts(ctx, None)[0])
 
 
 def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:
@@ -167,46 +199,126 @@ def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:
     return starts
 
 
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    """(d, g.d): the Newton step -H^{-1} g when H has a Cholesky factor and the
+    step descends, else steepest descent -g.  The LAPACK calls are those of
+    scipy's cho_factor and cho_solve, without their argument checks."""
+    c, info = dpotrf(H, lower=0, clean=0)
+    if info == 0:
+        d = -dpotrs(c, g, lower=0)[0]
+        gd = float(np.dot(g, d))
+        if gd < 0.0:
+            return d, gd
+    return -g, -float(np.dot(g, g))
+
+
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, keep_trace: bool):
-    """One safeguarded Newton run from x0; returns (x, f, iters, converged, gmax, trace)."""
-    J = ctx.n_curves
+    """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
+
+    Row p minimizes the contrast of table p of ctx.table, a (P, J, 2L+1)
+    stack, or of the one table when ctx.table is a single (J, 2L+1) table.
+    Each row keeps its own step, line search, Newton-or-steepest-descent
+    choice, iteration count and stopping rule, so its run is the one it would
+    have alone; the rows share each rephase, value, gradient and Hessian
+    call.  A trial point is accepted when its value is strictly lower and
+    passes the Armijo test; a row that finds none in 80 halvings stops.
+    Returns (x, f, iters, converged, gmax, traces), one entry per row; traces
+    holds each row's accepted values when keep_trace, else it is None.
+    """
+    coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
+    P, J = x.shape[0], ctx.n_curves
+
+    def take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # `rows` is an increasing subset of 0..P-1; indexing by all of them
+        # would only copy.
+        return a if rows.size == P else a[rows]
+
+    def rephased(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        own = coeffs if coeffs.ndim == 2 else take(coeffs, rows)
+        return rephase(SpectralTable(own, period), full_phases(xs, J)).coeffs
+
     # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
-    ct = rephase(ctx.table, full_phases(x, J)).coeffs
+    ct = rephased(np.arange(P), x)
     f = _value(ctx, ct)
     g = _gradient(ctx, ct)
-    trace = [f] if keep_trace else None
-    iters = 0
-    gmax = float(np.max(np.abs(g)))
-    while iters < config.max_iterations and gmax > config.gradient_tolerance:
-        try:
-            d = -cho_solve(cho_factor(_hessian(ctx, ct)), g)
-        except LinAlgError:  # Hessian not positive definite
-            d = -g
-        gd = float(np.dot(g, d))
-        if not gd < 0.0:  # rounding spoilt the Newton step; steepest descent
-            d, gd = -g, -float(np.dot(g, g))
+    gmax = np.max(np.abs(g), axis=-1)
+    iters = np.zeros(P, dtype=int)
+    traces = [[v] for v in f.tolist()] if keep_trace else None
+    running = gmax > config.gradient_tolerance
+    while running.any():
+        rows = np.flatnonzero(running)
+        H = _hessian(ctx, take(ct, rows))
+        if not np.all(np.isfinite(H)):
+            raise ValueError("estimation failed: the Hessian is not finite")
+        d = np.empty((rows.size, J - 1))
+        gd = np.empty(rows.size)
+        for i, p in enumerate(rows):
+            d[i], gd[i] = _newton_direction(H[i], g[p])
         # Keep a single step inside one period of the landscape.
-        step = min(1.0, np.pi / max(float(np.max(np.abs(d))), 1e-300))
-        accepted = False
+        step = np.minimum(1.0, np.pi / np.maximum(np.max(np.abs(d), axis=-1), 1e-300))
+        accepted = np.zeros(rows.size, dtype=bool)
+        search = np.arange(rows.size)  # positions in `rows` still backtracking
         for _ in range(80):
-            x_try = wrap_phase(x + step * d)
-            ct_try = rephase(ctx.table, full_phases(x_try, J)).coeffs
+            s = rows[search]
+            x_try = wrap_phase(x[s] + step[search, None] * d[search])
+            ct_try = rephased(s, x_try)
             f_try = _value(ctx, ct_try)
-            if np.isfinite(f_try) and f_try <= f + SUFFICIENT_DECREASE * step * gd:
-                accepted = True
+            ok = (np.isfinite(f_try) & (f_try < f[s])
+                  & (f_try <= f[s] + SUFFICIENT_DECREASE * step[search] * gd[search]))
+            if ok.all() and s.size == P:  # every row moves: no copy
+                x, f, ct = x_try, f_try, ct_try
+            else:
+                x[s[ok]], f[s[ok]], ct[s[ok]] = x_try[ok], f_try[ok], ct_try[ok]
+            accepted[search[ok]] = True
+            search = search[~ok]
+            if not search.size:
                 break
-            step *= CONTRACTION
-        if not accepted:  # no further decrease representable
-            break
-        x, f, ct = x_try, f_try, ct_try
-        g = _gradient(ctx, ct)
-        gmax = float(np.max(np.abs(g)))
-        iters += 1
+            step[search] *= CONTRACTION
+        running[rows[search]] = False  # no further decrease representable
+        done = rows[accepted]
+        g[done] = _gradient(ctx, take(ct, done))
+        gmax[done] = np.max(np.abs(g[done]), axis=-1)
+        iters[done] += 1
         if keep_trace:
-            trace.append(f)
+            for p in done:
+                traces[p].append(float(f[p]))
+        running[done] = (gmax[done] > config.gradient_tolerance) & (iters[done] < config.max_iterations)
     converged = gmax <= config.gradient_tolerance
-    return x, f, iters, converged, gmax, trace
+    return x, f, iters, converged, gmax, traces
+
+
+def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None,
+                     keep_trace: bool = False):
+    """Minimize the contrast of every table of ctx in one stacked Newton pass.
+
+    ctx.table is one (J, 2L+1) table or a stack (R, J, 2L+1).  Each table's
+    starts (`_starts`) are rows of one `_descend` call, and each table keeps
+    its run with the lowest criterion value; exact ties go to the
+    lexicographically smallest wrapped phase vector.  Returns (x, f, iters,
+    converged, gmax, traces) with one entry per table.
+    """
+    config = config or OptimizerConfig()
+    if not np.any(ctx.weights.values > 0):
+        raise ValueError("criterion identically zero: every frequency weight vanishes")
+    x0, owner = _starts(ctx, config.restarts)
+    table = ctx.table
+    if table.coeffs.ndim > 2 and x0.shape[0] != table.coeffs.shape[0]:
+        table = SpectralTable(table.coeffs[owner], table.period)
+    x, f, iters, converged, gmax, traces = _descend(
+        CriterionContext(table, ctx.weights), x0, config, keep_trace)
+    best: dict[int, tuple] = {}
+    for p, r in enumerate(owner.tolist()):
+        if not np.isfinite(f[p]):
+            continue
+        key = (f[p], tuple(x[p]))
+        if r not in best or key < best[r][0]:
+            best[r] = (key, p)
+    if len(best) <= owner[-1]:
+        raise ValueError("estimation failed: no starting point produced a finite criterion value")
+    win = np.array([best[r][1] for r in range(len(best))])
+    return (x[win], f[win], iters[win], converged[win], gmax[win],
+            [traces[p] for p in win] if keep_trace else None)
 
 
 def minimize(
@@ -221,33 +333,17 @@ def minimize(
     the iteration budget is reported through the `converged` flag, not an
     exception; only a context whose weights vanish identically (criterion
     identically zero) or whose every run produced a non-finite value is an
-    error.
+    error.  This is `_minimize_tables` on one table.
     """
-    config = config or OptimizerConfig()
-    if not np.any(ctx.weights.values > 0):
-        raise ValueError("criterion identically zero: every frequency weight vanishes")
-    starts = initialize(ctx)
-    if config.restarts:
-        starts = starts + _lattice_starts(ctx.n_curves - 1, config.restarts)
-    best = None
-    for x0 in starts:
-        x, f, iters, converged, gmax, trace = _descend(ctx, x0, config, keep_trace)
-        if not np.isfinite(f):
-            continue
-        key = (f, tuple(x))
-        if best is None or key < best[0]:
-            best = (key, x, f, iters, converged, gmax, trace)
-    if best is None:
-        raise ValueError("estimation failed: no starting point produced a finite criterion value")
-    _, x, f, iters, converged, gmax, trace = best
-    alpha = ConstrainedShift(free=x)
+    x, f, iters, converged, gmax, traces = _minimize_tables(ctx, config, keep_trace)
+    alpha = ConstrainedShift(free=x[0])
     theta = alpha.full() * (ctx.table.period / (2.0 * np.pi))
     return EstimationResult(
         alpha_hat=alpha,
         theta_hat=theta,
-        criterion_value=f,
-        iterations=iters,
-        converged=converged,
-        gradient_max=gmax,
-        trace=tuple(trace) if keep_trace else None,
+        criterion_value=float(f[0]),
+        iterations=int(iters[0]),
+        converged=bool(converged[0]),
+        gradient_max=float(gmax[0]),
+        trace=tuple(traces[0]) if keep_trace else None,
     )

@@ -8,6 +8,12 @@ and studies are reproducible bit for bit; normal deviates are produced by
 applying the inverse normal cdf to uniforms, which keeps the generation
 contract portable.
 
+A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
+and processes each block in one pass: one normal quantile call, one
+transform, one start scan, one stacked Newton run (`optimize`), one rephase
+for the intervals and one landmark smoothing.  Each replicate gets the
+numbers it would get alone.
+
 A study aggregates the shift estimates over replicates: bias, the empirical
 covariance of the sqrt(n)-scaled errors, confidence-interval coverage, and
 root-mean-square errors for both the contrast minimizer and the
@@ -23,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import CriterionContext, wrap_phase, wrap_time
+from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import CurveSet, SpectralTable, WeightScheme, forward_dft, inverse_dft, rephase, transform
-from .inference import confidence_intervals, gamma_from_power, norm_ppf
+from .inference import gamma_from_power, interval_half_widths, norm_ppf
 from .landmark import LandmarkConfig, landmark_shifts
-from .optimize import OptimizerConfig, minimize
+from .optimize import OptimizerConfig, _minimize_tables
 
 __all__ = [
     "PATTERNS",
@@ -130,33 +136,45 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _standard_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    # Inverse-cdf sampling from 53-bit uniforms strictly inside (0, 1).
-    u = (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64) + 0.5) * 2.0**-53
-    return norm_ppf(u)
+def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
+    # 53-bit uniforms strictly inside (0, 1), for inverse-cdf normal sampling.
+    return (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64) + 0.5) * 2.0**-53
+
+
+def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples (B, J, n), shifts theta (B, J) and phases alpha (B, J) of replicates.
+
+    Each replicate draws its shifts and then its uniforms from its own
+    Philox stream; the normal quantile and the pattern are then evaluated
+    once for the whole block.
+    """
+    J, n, T = spec.n_curves, spec.n_samples, spec.period
+    B = len(indices)
+    theta = np.zeros((B, J)) if spec.shifts is None else np.tile(spec.shifts, (B, 1))
+    u = np.empty((B, J, n)) if spec.sigma > 0 else None
+    for b, r in enumerate(indices):
+        rng = _replicate_rng(spec.seed, r)
+        if spec.shifts is None:
+            theta[b, 1:] = (rng.random(J - 1) - 0.5) * (np.pi / 2.0)
+        if u is not None:
+            u[b] = _uniforms(rng, (J, n))
+    alpha = theta * (2.0 * np.pi / T)  # identity when T = 2 pi
+    if isinstance(spec.pattern, str):
+        clean = PATTERNS[spec.pattern](spec.times - theta[..., None], T)
+    else:
+        pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
+        clean = inverse_dft(rephase(pattern, -alpha).coeffs)
+    noise = spec.sigma * norm_ppf(u) if u is not None else 0.0
+    return clean + noise, theta, alpha
 
 
 def generate(spec: SimulationSpec, replicate_index: int) -> Replicate:
     """One dataset with known truth, deterministic in (seed, replicate_index)."""
-    rng = _replicate_rng(spec.seed, replicate_index)
-    J, n, T = spec.n_curves, spec.n_samples, spec.period
-    if spec.shifts is None:
-        theta = np.zeros(J)
-        theta[1:] = (rng.random(J - 1) - 0.5) * (np.pi / 2.0)
-    else:
-        theta = spec.shifts.copy()
-    alpha = theta * (2.0 * np.pi / T)  # identity when T = 2 pi
-    t = spec.times
-    if isinstance(spec.pattern, str):
-        clean = PATTERNS[spec.pattern](t[None, :] - theta[:, None], T)
-    else:
-        pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
-        clean = inverse_dft(rephase(pattern, -alpha).coeffs)
-    noise = spec.sigma * _standard_normal(rng, (J, n)) if spec.sigma > 0 else 0.0
+    samples, theta, alpha = _draw(spec, [replicate_index])
     return Replicate(
-        curves=CurveSet(samples=clean + noise, period=T),
-        theta=theta,
-        alpha=alpha,
+        curves=CurveSet(samples=samples[0], period=spec.period),
+        theta=theta[0],
+        alpha=alpha[0],
     )
 
 
@@ -183,6 +201,9 @@ def theoretical_gamma(spec: SimulationSpec) -> np.ndarray:
     """Asymptotic covariance factor Gamma built from the true coefficients."""
     mags_sq = np.abs(true_coefficients(spec)) ** 2
     return gamma_from_power(mags_sq, spec.weights, spec.n_curves)
+
+
+STUDY_BLOCK = 1 << 15  # table entries (replicates x J x n) per stacked block; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -248,7 +269,7 @@ def run_study(
     landmark is left out of the landmark RMSE, but its located curves keep
     their landmark shifts.
     """
-    R, J, n = spec.replicates, spec.n_curves, spec.n_samples
+    R, J, n, T = spec.replicates, spec.n_curves, spec.n_samples, spec.period
     alpha_true = np.empty((R, J - 1))
     alpha_hat = np.empty((R, J - 1))
     theta_true = np.empty((R, J))
@@ -257,27 +278,26 @@ def run_study(
     landmark_ok = np.empty((R, J), dtype=bool)
     crit = np.empty(R)
     covered = np.full((R, J - 1), np.nan)
-    inference_failures = 0
-    nonconverged = 0
-    for r in range(R):
-        rep = generate(spec, r)
-        table = transform(rep.curves)
-        ctx = CriterionContext(table, spec.weights)
-        res = minimize(ctx, config)
-        if not res.converged:
-            nonconverged += 1
-        alpha_true[r] = rep.alpha[1:]
-        theta_true[r] = rep.theta
-        alpha_hat[r] = res.alpha_hat.free
-        theta_hat[r] = res.theta_hat
-        crit[r] = res.criterion_value
-        try:
-            report = confidence_intervals(res, table, spec.weights, spec.confidence)
-            lo, hi = report.intervals_alpha[:, 0], report.intervals_alpha[:, 1]
-            covered[r] = (lo <= rep.alpha[1:]) & (rep.alpha[1:] <= hi)
-        except ValueError:
-            inference_failures += 1
-        theta_lm[r], landmark_ok[r] = landmark_shifts(rep.curves, landmark_config)
+    converged = np.empty(R, dtype=bool)
+    block = max(1, STUDY_BLOCK // (J * n))
+    for lo in range(0, R, block):
+        b = slice(lo, min(R, lo + block))
+        samples, theta_true[b], alpha = _draw(spec, range(R)[b])
+        curves = CurveSet(samples=samples, period=T)
+        table = transform(curves)
+        x, crit[b], _, converged[b], _, _ = _minimize_tables(CriterionContext(table, spec.weights),
+                                                             config)
+        alpha_true[b] = alpha[:, 1:]
+        alpha_hat[b] = x
+        full = full_phases(x, J)
+        theta_hat[b] = full * (T / (2.0 * np.pi))
+        half = interval_half_widths(rephase(table, full).coeffs, spec.weights, spec.confidence)
+        lower, upper = x - half[:, None], x + half[:, None]
+        inferred = ~np.isnan(half)
+        covered[b][inferred] = ((lower <= alpha[:, 1:]) & (alpha[:, 1:] <= upper))[inferred]
+        theta_lm[b], landmark_ok[b] = landmark_shifts(curves, landmark_config)
+    inference_failures = int(np.sum(np.isnan(covered[:, 0])))
+    nonconverged = int(np.sum(~converged))
     errors = wrap_phase(alpha_hat - alpha_true)
     scaled = np.sqrt(n) * errors
     covariance = np.atleast_2d(np.cov(scaled, rowvar=False)) if R > 1 else np.zeros((J - 1, J - 1))

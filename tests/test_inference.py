@@ -17,7 +17,8 @@ from curveshift import (
     run_study,
     transform,
 )
-from curveshift.inference import gamma_from_power
+from curveshift import fourier, inference, rephase
+from curveshift.inference import gamma_from_power, interval_half_widths
 
 T = 2.0 * np.pi
 
@@ -208,6 +209,46 @@ class TestConfidenceIntervals:
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError, match="level"):
                 confidence_intervals(res, table, WeightScheme.unit(50), level=bad)
+
+    def test_one_rephase_serves_both_estimates(self, monkeypatch):
+        spec = SimulationSpec(pattern="sinc15", n_curves=6, n_samples=101, sigma=1.0,
+                              replicates=1, seed=8)
+        table = transform(generate(spec, 0).curves)
+        res = minimize(CriterionContext(table, spec.weights))
+        sigma2 = estimate_noise_variance(table, res.alpha_hat)
+        gamma = estimate_gamma(table, spec.weights, res.alpha_hat, sigma2)
+        calls = []
+        original = fourier.rephase
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        for module in (fourier, inference):  # every binding a rephase could go through
+            monkeypatch.setattr(module, "rephase", counting)
+        report = confidence_intervals(res, table, spec.weights)
+        assert len(calls) == 1
+        assert report.sigma2_hat == sigma2
+        assert np.array_equal(report.gamma_hat, gamma)
+
+    def test_stacked_half_widths_equal_single_reports(self):
+        # The study's stacked inference gives each table the half width of its
+        # own report; a NaN marks the table whose Gamma cannot be estimated.
+        spec = SimulationSpec(pattern="sinc15", n_curves=3, n_samples=101, sigma=1.0,
+                              replicates=4, seed=9)
+        tables, centers = [], []
+        for r in range(spec.replicates):
+            table = transform(generate(spec, r).curves)
+            tables.append(table)
+            centers.append(minimize(CriterionContext(table, spec.weights)).alpha_hat)
+        flat = np.zeros_like(tables[0].coeffs)  # Gamma undefined: no pattern power
+        ct = np.stack([rephase(t, c.full()).coeffs for t, c in zip(tables, centers)] + [flat])
+        half = interval_half_widths(ct, spec.weights, 0.9)
+        for r, (table, center) in enumerate(zip(tables, centers)):
+            ci = confidence_intervals(center, table, spec.weights, 0.9).intervals_alpha
+            assert np.array_equal(ci[:, 1], center.free + half[r])
+            assert np.array_equal(ci[:, 0], center.free - half[r])
+        assert np.isnan(half[-1])
 
     def test_time_interval_scaling(self):
         a = np.array([0.0, 0.9])

@@ -259,12 +259,13 @@ class TestMinimize:
         assert res.alpha_hat.free[0] == pytest.approx(0.8483, abs=1e-4)
 
     def test_descents_per_minimize(self, monkeypatch):
+        # `_descend` runs one Newton descent per row of its start array.
         counts = {"descents": 0}
         original = optimize._descend
 
-        def counting(*args, **kwargs):
-            counts["descents"] += 1
-            return original(*args, **kwargs)
+        def counting(ctx, x0, *args, **kwargs):
+            counts["descents"] += len(x0)
+            return original(ctx, x0, *args, **kwargs)
 
         monkeypatch.setattr(optimize, "_descend", counting)
         spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,
@@ -281,17 +282,23 @@ class TestMinimize:
         # starts, so the minimum reached is never higher.  The iteration cap and
         # tolerance only bound the cost of runs that stall at the rounding
         # floor of the unit-weight gradient; both sides use the same config.
-        # A descent minimize already ran from the same start is not rerun.
+        # A descent minimize already ran from the same start is not rerun:
+        # `_descend` runs one descent per row of its start array, and each
+        # row's value is recorded under that start.
         config = OptimizerConfig(max_iterations=50, gradient_tolerance=1e-6)
         original, runs = optimize._descend, {}
 
-        def remembered(ctx, x0, *args):
-            key = np.asarray(x0).tobytes()
-            if key not in runs:
-                runs[key] = original(ctx, x0, *args)
-            return runs[key]
+        def recording(ctx, x0, *args):
+            out = original(ctx, x0, *args)
+            runs.update((np.asarray(row).tobytes(), f) for row, f in zip(x0, out[1]))
+            return out
 
-        monkeypatch.setattr(optimize, "_descend", remembered)
+        def descent_value(ctx, x0):
+            if x0.tobytes() not in runs:
+                recording(ctx, x0[None], config, False)
+            return runs[x0.tobytes()]
+
+        monkeypatch.setattr(optimize, "_descend", recording)
         shifts = np.array([0.0, np.pi / 3]) if n_curves == 2 else None
         spec = SimulationSpec(pattern="sinc15", n_curves=n_curves, n_samples=101, sigma=sigma,
                               shifts=shifts, weights=WeightScheme.unit(50), replicates=40,
@@ -301,7 +308,7 @@ class TestMinimize:
             runs.clear()
             ctx = CriterionContext(transform(generate(spec, r).curves), spec.weights)
             f = minimize(ctx, config).criterion_value
-            two_start = min(remembered(ctx, x0, config, False)[1]
+            two_start = min(descent_value(ctx, x0)
                             for x0 in (lag_start(ctx.table), np.zeros(n_curves - 1)))
             assert f <= two_start, r
             lower += f < two_start
@@ -321,6 +328,107 @@ class TestMinimize:
             ctx = CriterionContext(transform(rep.curves), spec.weights)
             res = minimize(ctx)
             assert np.all(np.abs(res.alpha_hat.free) <= np.pi)
+
+
+def stacked_contexts(pattern, weights, n_curves, n_samples, sigma, replicates, seed):
+    """One context over the stacked (R, J, n) table, and one context per replicate."""
+    spec = SimulationSpec(pattern, n_curves=n_curves, n_samples=n_samples, sigma=sigma,
+                          weights=weights, replicates=replicates, seed=seed)
+    tables = [transform(generate(spec, r).curves) for r in range(replicates)]
+    stacked = SpectralTable(coeffs=np.stack([t.coeffs for t in tables]), period=T)
+    return CriterionContext(stacked, weights), [CriterionContext(t, weights) for t in tables]
+
+
+def assert_rows_equal(stacked_out, single_outs):
+    """`_descend` or `_minimize_tables` rows against one-row runs, to 1e-12."""
+    x, f, iters, converged, gmax, traces = stacked_out
+    for p, (xs, fs, its, cs, gs, ts) in enumerate(single_outs):
+        assert np.max(np.abs(x[p] - xs[0])) <= 1e-12, p
+        assert abs(f[p] - fs[0]) <= 1e-12, p
+        assert iters[p] == its[0] and converged[p] == cs[0], p
+        assert abs(gmax[p] - gs[0]) <= 1e-12, p
+        if traces is not None:
+            assert np.allclose(traces[p], ts[0], rtol=0, atol=1e-12), p
+
+
+class TestStackedEngine:
+    """One stacked Newton pass gives each problem the run it would have alone."""
+
+    @pytest.mark.parametrize("restarts", [None, 2])
+    @pytest.mark.parametrize("weights", ["power:1.3", "unit", "power:1.0"])
+    @pytest.mark.parametrize("pattern,n_curves,sigma", [("cosine", 4, 1.0), ("sinc15", 5, 3.0)])
+    def test_stack_equals_one_replicate_at_a_time(self, pattern, n_curves, sigma, weights,
+                                                  restarts):
+        scheme = (WeightScheme.unit(50) if weights == "unit"
+                  else WeightScheme.power(float(weights.split(":")[1]), 50))
+        stacked, singles = stacked_contexts(pattern, scheme, n_curves, 101, sigma, 8, 6)
+        config = OptimizerConfig(restarts=restarts)
+        out = optimize._minimize_tables(stacked, config)
+        alone = []
+        for ctx in singles:
+            res = minimize(ctx, config)
+            alone.append(([res.alpha_hat.free], [res.criterion_value], [res.iterations],
+                          [res.converged], [res.gradient_max], None))
+        assert_rows_equal(out, alone)
+        x0, owner = optimize._starts(stacked, restarts)
+        rows_per_table = np.bincount(owner)
+        assert rows_per_table.sum() == x0.shape[0]
+        if weights == "power:1.3":
+            assert np.all(rows_per_table == 1 + (restarts or 0))
+        else:  # scan, lag and zero starts, duplicates dropped, then the lattice
+            assert np.all(rows_per_table >= 1 + (restarts or 0))
+            assert rows_per_table.max() == 3 + (restarts or 0)
+
+    def stack_with_slow_and_indefinite_rows(self):
+        # Scan starts of six sinc15 tables converge in 2 iterations from a
+        # positive definite Hessian.  On table 0 the zero start has an
+        # indefinite Hessian and takes 4 iterations; on table 1 the start
+        # (3, 3, -3) takes 10.
+        stacked, singles = stacked_contexts("sinc15", WeightScheme.power(1.3, 50), 4, 101, 2.0,
+                                            6, 3)
+        x0, owner = optimize._starts(stacked, None)
+        x0 = np.vstack([x0, np.zeros(3), [3.0, 3.0, -3.0]])
+        owner = np.concatenate([owner, [0, 1]])
+        table = SpectralTable(coeffs=stacked.table.coeffs[owner], period=T)
+        return CriterionContext(table, stacked.weights), [singles[r] for r in owner], x0
+
+    @pytest.mark.parametrize("max_iterations", [3, 500])
+    def test_rows_stop_on_their_own(self, max_iterations):
+        ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
+        config = OptimizerConfig(max_iterations=max_iterations)
+        out = optimize._descend(ctx, x0, config, True)
+        alone = [optimize._descend(single, x0[p:p + 1], config, True)
+                 for p, single in enumerate(singles)]
+        assert_rows_equal(out, alone)
+        iters, converged = out[2], out[3]
+        assert np.all(converged[:6]) and np.all(iters[:6] == 2)
+        if max_iterations == 3:
+            assert np.array_equal(iters[6:], [3, 3]) and not np.any(converged[6:])
+        else:
+            assert np.array_equal(iters[6:], [4, 10]) and np.all(converged[6:])
+
+    def test_indefinite_start_hessian_beside_definite_ones(self):
+        ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
+        smallest = [np.linalg.eigvalsh(hessian(single, x))[0] for single, x in zip(singles, x0)]
+        assert min(smallest[:6]) > 0.0 and max(smallest[6:]) < 0.0
+        config = OptimizerConfig()
+        assert_rows_equal(optimize._descend(ctx, x0, config, False),
+                          [optimize._descend(single, x0[p:p + 1], config, False)
+                           for p, single in enumerate(singles)])
+
+    def test_shared_table_equals_copies(self):
+        # minimize stacks its starts on one (J, 2L+1) table; a study stacks
+        # one copy of the table per start.  Both give the same runs.
+        ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
+        shared = singles[0]
+        copies = CriterionContext(SpectralTable(np.stack([shared.table.coeffs] * len(x0)), T),
+                                  shared.weights)
+        config = OptimizerConfig()
+        out = optimize._descend(shared, x0, config, True)
+        again = optimize._descend(copies, x0, config, True)
+        for a, b in zip(out[:5], again[:5]):
+            assert np.array_equal(a, b)
+        assert out[5] == again[5]
 
 
 class TestOptimizerConfig:

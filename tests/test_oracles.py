@@ -36,11 +36,15 @@ SIZES = [3, 5, 101, 401, 2001]
 
 
 def full_grid_values(table, w2, m):
-    """Each curve's w2-weighted correlation with curve 1 at 2 pi k/m, k = 0..m-1 (times m)."""
+    """Each curve's w2-weighted correlation with curve 1 at 2 pi k/m, k = 0..m-1 (times m).
+
+    A stacked table (R, J, 2L+1) gives one (J-1, m) block per table.
+    """
     L = table.max_frequency
-    cross = w2 * table.coeffs[1:] * np.conj(table.coeffs[0])
-    half = cross[:, L:] + np.conj(cross[:, L::-1])
-    return np.fft.irfft(half, m, axis=1)
+    coeffs = table.coeffs
+    cross = w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :])
+    half = cross[..., L:] + np.conj(cross[..., L::-1])
+    return np.fft.irfft(half, m, axis=-1)
 
 
 def grid_phase(k, m):
@@ -50,25 +54,31 @@ def grid_phase(k, m):
 
 def full_grid_argmax(table, w2, m):
     """The scan start as a full-grid argmax, first index on ties."""
-    return grid_phase(np.argmax(full_grid_values(table, w2, m), axis=1), m)
+    return grid_phase(np.argmax(full_grid_values(table, w2, m), axis=-1), m)
 
 
 def landmark_loop(curves, config=None):
-    """`landmark_shifts` with one `max_location` call, and so one smoothing, per curve."""
+    """`landmark_shifts` with one `max_location` call, and so one smoothing, per curve.
+
+    A stacked CurveSet (R, J, n) is handled one J-curve set at a time.
+    """
     period = curves.period
-    locs = np.full(curves.n_curves, np.nan)
-    ok = np.zeros(curves.n_curves, dtype=bool)
-    for j, row in enumerate(curves.samples):
-        try:
-            locs[j] = max_location(row, period, config)
-            ok[j] = True
-        except ValueError:
-            pass
-    shifts = np.full(curves.n_curves, np.nan)
-    if ok[0]:
-        shifts[ok] = wrap_time(locs[ok] - locs[0], period)
-        shifts[0] = 0.0
-    return shifts, ok
+    sets = curves.samples.reshape(-1, curves.n_curves, curves.n_samples)
+    all_shifts = np.full(sets.shape[:2], np.nan)
+    all_ok = np.zeros(sets.shape[:2], dtype=bool)
+    for samples, shifts, ok in zip(sets, all_shifts, all_ok):
+        locs = np.full(curves.n_curves, np.nan)
+        for j, row in enumerate(samples):
+            try:
+                locs[j] = max_location(row, period, config)
+                ok[j] = True
+            except ValueError:
+                pass
+        if ok[0]:
+            shifts[ok] = wrap_time(locs[ok] - locs[0], period)
+            shifts[0] = 0.0
+    shape = curves.samples.shape[:-1]
+    return all_shifts.reshape(shape), all_ok.reshape(shape)
 
 
 def weight_sets(n):

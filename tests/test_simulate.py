@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -5,12 +7,17 @@ from scipy.integrate import simpson
 from curveshift import (
     PATTERNS,
     CriterionContext,
+    OptimizerConfig,
     SimulationSpec,
     WeightScheme,
+    confidence_intervals,
     forward_dft,
     generate,
     grid_profile,
+    landmark_shifts,
+    minimize,
     run_study,
+    simulate,
     theoretical_gamma,
     transform,
     true_coefficients,
@@ -260,3 +267,49 @@ class TestRunStudy:
             err = s.alpha_hat - s.alpha_true
             stds.append(np.sqrt(np.mean(np.var(err, axis=0, ddof=1))))
         assert abs(stds[1] / stds[0] - 2.0) < 0.4  # within 20 percent of 2
+
+
+class TestStackedStudy:
+    """run_study stacks a cell's replicates; each must get its own single-table result."""
+
+    @pytest.mark.parametrize("weights", [WeightScheme.power(1.3, 50), WeightScheme.unit(50)],
+                             ids=["power1.3", "unit"])
+    def test_study_equals_replicate_loop(self, weights):
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=2.0,
+                              weights=weights, replicates=12, seed=31)
+        config = OptimizerConfig(restarts=1)
+        summary = run_study(spec, config)
+        covered = []
+        for r in range(spec.replicates):
+            rep = generate(spec, r)
+            table = transform(rep.curves)
+            res = minimize(CriterionContext(table, weights), config)
+            assert np.array_equal(summary.alpha_true[r], rep.alpha[1:])
+            assert np.allclose(summary.alpha_hat[r], res.alpha_hat.free, rtol=0, atol=1e-12)
+            assert np.allclose(summary.theta_hat[r], res.theta_hat, rtol=0, atol=1e-12)
+            assert abs(summary.criterion_values[r] - res.criterion_value) <= 1e-12
+            shifts, ok = landmark_shifts(rep.curves)
+            assert np.array_equal(summary.theta_hat_landmark[r], shifts, equal_nan=True)
+            assert np.array_equal(summary.landmark_ok[r], ok)
+            ci = confidence_intervals(res, table, weights, spec.confidence).intervals_alpha
+            covered.append((ci[:, 0] <= rep.alpha[1:]) & (rep.alpha[1:] <= ci[:, 1]))
+        assert summary.inference_failures == 0
+        assert np.array_equal(summary.coverage, np.mean(covered, axis=0))
+
+    def test_blocks_give_the_same_study(self, monkeypatch):
+        # 10 replicates fit one block by default; a block of 3 replicates
+        # splits the study into 3 + 3 + 3 + 1.
+        for weights in (WeightScheme.power(1.3, 50), WeightScheme.unit(50)):
+            spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=1.0,
+                                  weights=weights, replicates=10, seed=5)
+            assert spec.replicates * 4 * 101 <= simulate.STUDY_BLOCK
+            whole = run_study(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "STUDY_BLOCK", 3 * 4 * 101)
+                blocked = run_study(spec)
+            for field in dataclasses.fields(whole):
+                a, b = getattr(whole, field.name), getattr(blocked, field.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b, equal_nan=True), field.name
+                else:
+                    assert a == b or (a != a and b != b), field.name
