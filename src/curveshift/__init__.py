@@ -35,7 +35,6 @@ from .inference import (
     confidence_intervals,
     estimate_gamma,
     estimate_noise_variance,
-    norm_ppf,
 )
 from .landmark import LandmarkConfig, align_by_max, landmark_shifts, max_location, smooth
 from .optimize import EstimationResult, OptimizerConfig, initialize, minimize

@@ -23,6 +23,7 @@ files up to the generator version string).  Exit codes: 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -549,6 +550,7 @@ def _add_simulation(p: argparse.ArgumentParser) -> None:
                    help="explicit time-unit shifts, comma separated, first 0")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="curveshift",
                                      description="shift estimation for periodic curves")

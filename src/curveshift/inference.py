@@ -25,77 +25,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtri
 
 from .criterion import ConstrainedShift, full_phases
 from .fourier import SpectralTable, WeightScheme, rephase
 
 __all__ = [
     "CovarianceReport",
-    "norm_ppf",
     "estimate_noise_variance",
     "estimate_gamma",
     "gamma_from_power",
     "interval_half_widths",
     "confidence_intervals",
 ]
-
-# Rational approximation of the standard normal quantile (Acklam), relative
-# error below 1.2e-9, then one Halley step against erfc.  Measured against
-# 40-digit references, the step reaches rounding level on most of (0, 1) but
-# not everywhere: near p = 0.5 the relative error stays up to 1.1e-9 (the
-# absolute error there is below 1e-15), and above p = 1 - 1e-6 the cdf it
-# corrects against cancels, so the absolute error grows to 8.4e-9 at
-# 1 - p = 1e-13.  The lower tail stays below 2e-15.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def _polyval(coeffs, x):
-    out = np.full_like(x, coeffs[0], dtype=float)
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def norm_ppf(p):
-    """Standard normal quantile on (0, 1), to a relative error below 1.2e-9.
-
-    Most values are within a few units in the last place; the exceptions are
-    p near 0.5 and p above 1 - 1e-6 (see the note on the constants).
-    """
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probabilities must lie strictly inside (0, 1)")
-    x = np.empty_like(p)
-    lo, hi = 0.02425, 1.0 - 0.02425
-    tail_lo = p < lo
-    tail_hi = p > hi
-    center = ~(tail_lo | tail_hi)
-    if np.any(center):
-        q = p[center] - 0.5
-        r = q * q
-        x[center] = q * _polyval(_A, r) / (_polyval(_B, r) * r + 1.0)
-    if np.any(tail_lo):
-        q = np.sqrt(-2.0 * np.log(p[tail_lo]))
-        x[tail_lo] = _polyval(_C, q) / (_polyval(_D, q) * q + 1.0)
-    if np.any(tail_hi):
-        q = np.sqrt(-2.0 * np.log1p(-p[tail_hi]))
-        x[tail_hi] = -_polyval(_C, q) / (_polyval(_D, q) * q + 1.0)
-    # Halley refinement against the exact cdf.
-    err = 0.5 * erfc(-x / np.sqrt(2.0)) - p
-    u = err * np.sqrt(2.0 * np.pi) * np.exp(0.5 * x * x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return float(x[0]) if scalar else x
-
 
 @dataclass(frozen=True)
 class CovarianceReport:
@@ -188,7 +130,7 @@ def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
     """
     sigma2 = _noise_variance(ct)
     scalar = _gamma_scalar(_debiased_power(ct, sigma2), weights)
-    z = norm_ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     return z * np.sqrt(sigma2 * (scalar * 2.0) / ct.shape[-1])
 
 
@@ -197,37 +139,32 @@ def confidence_intervals(
     table: SpectralTable,
     weights: WeightScheme,
     level: float = 0.95,
-    sigma2: float | None = None,
-    gamma: np.ndarray | None = None,
 ) -> CovarianceReport:
     """Per-shift normal confidence intervals at the given level.
 
     Interval half-widths are z_{(1+level)/2} sqrt(sigma2 gamma_jj / n); time
-    unit intervals rescale by T / 2 pi.  `sigma2` and `gamma` may be supplied
-    to reuse precomputed values, otherwise they are estimated from the table.
+    unit intervals rescale by T / 2 pi.  One rephase at alpha_hat serves both
+    the sigma2 and the Gamma estimate.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
+    if table.n_curves < 2:
+        raise ValueError("noise variance is unidentifiable from a single curve")
     alpha_hat = getattr(result, "alpha_hat", result)
     if not isinstance(alpha_hat, ConstrainedShift):
         alpha_hat = ConstrainedShift(free=np.asarray(alpha_hat, dtype=float))
-    if sigma2 is None or gamma is None:  # one rephase serves both estimates
-        if table.n_curves < 2:
-            raise ValueError("noise variance is unidentifiable from a single curve")
-        ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
-        if sigma2 is None:
-            sigma2 = float(_noise_variance(ct))
-        if gamma is None:
-            gamma = gamma_from_power(_debiased_power(ct, sigma2), weights, table.n_curves)
+    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
+    sigma2 = float(_noise_variance(ct))
+    gamma = gamma_from_power(_debiased_power(ct, sigma2), weights, table.n_curves)
     n = table.n_samples
     se = np.sqrt(sigma2 * np.diag(gamma) / n)
-    z = norm_ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     centers = alpha_hat.free
     ints_alpha = np.column_stack([centers - z * se, centers + z * se])
     scale = table.period / (2.0 * np.pi)
     return CovarianceReport(
         gamma_hat=gamma,
-        sigma2_hat=float(sigma2),
+        sigma2_hat=sigma2,
         std_errors=se,
         intervals_alpha=ints_alpha,
         intervals_theta=ints_alpha * scale,

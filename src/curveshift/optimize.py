@@ -51,15 +51,12 @@ SUFFICIENT_DECREASE = 1e-4  # Armijo constant: accept f_try <= f + c * step * g.
 class OptimizerConfig:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8  # max-norm
-    restarts: int | None = None  # extra lattice starts; None = initializer only
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if not self.gradient_tolerance > 0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.restarts is not None and self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -139,13 +136,13 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     return wrap_phase(2.0 * np.pi * k / m).reshape(stacked)
 
 
-def _starts(ctx: CriterionContext, restarts: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
     """Start rows (P, J-1) for every table of ctx, and the table index of each row.
 
     A single (J, 2L+1) table counts as table 0.  Per table the rows are the
     scan start, then under flagged weights the lag and zero starts with
-    duplicates dropped, then `restarts` lattice starts.  Every table's scan
-    runs in one `_correlation_argmax` call, and so does every lag.
+    duplicates dropped.  Every table's scan runs in one `_correlation_argmax`
+    call, and so does every lag.
     """
     table = ctx.table
     n, dim = table.n_samples, table.n_curves - 1
@@ -153,7 +150,6 @@ def _starts(ctx: CriterionContext, restarts: int | None) -> tuple[np.ndarray, np
     if ctx.weights.fluctuation_warning is not None:
         candidates += [_correlation_argmax(table, np.ones(n), n), np.zeros_like(candidates[0])]
     candidates = [c.reshape(-1, dim) for c in candidates]
-    lattice = _lattice_starts(dim, restarts) if restarts else []
     rows: list[np.ndarray] = []
     owner: list[int] = []
     for r in range(candidates[0].shape[0]):
@@ -161,8 +157,8 @@ def _starts(ctx: CriterionContext, restarts: int | None) -> tuple[np.ndarray, np
         for c in candidates:
             if not any(np.array_equal(c[r], u) for u in unique):
                 unique.append(c[r])
-        rows += unique + lattice
-        owner += [r] * (len(unique) + len(lattice))
+        rows += unique
+        owner += [r] * len(unique)
     return np.array(rows), np.array(owner)
 
 
@@ -180,23 +176,7 @@ def initialize(ctx: CriterionContext) -> list[np.ndarray]:
     unweighted lag on the n-point grid and the zero vector are added;
     duplicates are dropped.
     """
-    return list(_starts(ctx, None)[0])
-
-
-def _lattice_starts(dim: int, count: int) -> list[np.ndarray]:
-    # Deterministic low-discrepancy fill-in: Kronecker sequence on sqrt(primes).
-    primes: list[int] = []
-    m = 2
-    while len(primes) < dim:
-        if all(m % p for p in primes):
-            primes.append(m)
-        m += 1
-    roots = np.sqrt(np.array(primes, dtype=float))
-    starts = []
-    for i in range(1, count + 1):
-        frac = np.mod(i * roots, 1.0)
-        starts.append(wrap_phase(frac * 2.0 * np.pi - np.pi))
-    return starts
+    return list(_starts(ctx)[0])
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -301,7 +281,7 @@ def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = Non
     config = config or OptimizerConfig()
     if not np.any(ctx.weights.values > 0):
         raise ValueError("criterion identically zero: every frequency weight vanishes")
-    x0, owner = _starts(ctx, config.restarts)
+    x0, owner = _starts(ctx)
     table = ctx.table
     if table.coeffs.ndim > 2 and x0.shape[0] != table.coeffs.shape[0]:
         table = SpectralTable(table.coeffs[owner], table.period)

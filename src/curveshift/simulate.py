@@ -5,11 +5,11 @@ evaluate the chosen pattern at the shifted grid times and add white Gaussian
 noise.  Randomness comes from a counter-based Philox stream keyed by
 (seed, replicate_index), so any replicate can be regenerated independently
 and studies are reproducible bit for bit; normal deviates are produced by
-applying the inverse normal cdf to uniforms, which keeps the generation
-contract portable.
+applying the inverse normal cdf (`scipy.special.ndtri`) to uniforms, which
+keeps the generation contract portable.
 
 A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
-and processes each block in one pass: one normal quantile call, one
+and processes each block in one pass: one `ndtri` call, one
 transform, one start scan, one stacked Newton run (`optimize`), one rephase
 for the intervals and one landmark smoothing.  Each replicate gets the
 numbers it would get alone.
@@ -28,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import CurveSet, SpectralTable, WeightScheme, forward_dft, inverse_dft, rephase, transform
-from .inference import gamma_from_power, interval_half_widths, norm_ppf
+from .inference import gamma_from_power, interval_half_widths
 from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, _minimize_tables
 
@@ -145,8 +146,8 @@ def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.nda
     """Samples (B, J, n), shifts theta (B, J) and phases alpha (B, J) of replicates.
 
     Each replicate draws its shifts and then its uniforms from its own
-    Philox stream; the normal quantile and the pattern are then evaluated
-    once for the whole block.
+    Philox stream; the normal quantile (`ndtri`) and the pattern are then
+    evaluated once for the whole block.
     """
     J, n, T = spec.n_curves, spec.n_samples, spec.period
     B = len(indices)
@@ -164,7 +165,7 @@ def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.nda
     else:
         pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
         clean = inverse_dft(rephase(pattern, -alpha).coeffs)
-    noise = spec.sigma * norm_ppf(u) if u is not None else 0.0
+    noise = spec.sigma * ndtri(u) if u is not None else 0.0
     return clean + noise, theta, alpha
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import curveshift
+from curveshift import cli
 from curveshift.cli import main
 from curveshift.simulate import PATTERNS, SimulationSpec, generate
 
@@ -498,6 +499,32 @@ class TestCompareLandmark:
         assert "input: compare-landmark runs one study" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
         assert not (out / "report.json").exists()
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # The parser is built once per process; estimate, simulate and
+        # estimate again through it write the bytes a fresh parser gives.
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=1.0,
+                              replicates=1, seed=6)
+        src = tmp_path / "in.csv"
+        write_curves(src, list(generate(spec, 0).curves.samples))
+        estimate = ["estimate", "--input", str(src), "--output-dir"]
+        simulate = ["simulate", "--curves", "2", "--samples", "51", "--sigma", "1",
+                    "--replicates", "3", "--seed", "5", "--output-dir"]
+
+        def files(d):
+            return {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*")) if p.is_file()}
+
+        for argv, d in ((estimate, "e1"), (simulate, "s1"), (estimate, "e2")):
+            assert main(argv + [str(tmp_path / d)]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        for argv, d in ((estimate, "e3"), (simulate, "s3")):
+            cli.build_parser.cache_clear()
+            assert main(argv + [str(tmp_path / d)]) == 0
+        assert files(tmp_path / "e1") == files(tmp_path / "e2") == files(tmp_path / "e3")
+        assert files(tmp_path / "s1") == files(tmp_path / "s3")
+        assert len(files(tmp_path / "s1")) >= 3
 
 
 class TestPatternRegistry:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import norm as scipy_norm
+from scipy.special import ndtri
 
 from curveshift import (
     CriterionContext,
@@ -13,7 +13,6 @@ from curveshift import (
     estimate_noise_variance,
     generate,
     minimize,
-    norm_ppf,
     run_study,
     transform,
 )
@@ -29,25 +28,12 @@ def cosine_table(alphas_full, n=101):
     return transform(CurveSet(samples=rows, period=T))
 
 
-class TestNormPpf:
-    def test_against_scipy(self):
-        p = np.concatenate([
-            np.array([1e-12, 1e-6, 0.02425, 0.5, 0.975, 1 - 1e-6, 1 - 1e-12]),
-            np.linspace(0.001, 0.999, 997),
-        ])
-        ours = norm_ppf(p)
-        ref = scipy_norm.ppf(p)
-        assert np.max(np.abs(ours - ref)) < 1e-8
-
-    def test_known_quantile(self):
-        assert norm_ppf(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-        assert norm_ppf(0.5) == 0.0
-
-    def test_domain_checked(self):
-        with pytest.raises(ValueError):
-            norm_ppf(0.0)
-        with pytest.raises(ValueError):
-            norm_ppf(1.0)
+def noisy_table(n, period=T):
+    """One noisy two-curve cosine table and its default weights."""
+    spec = SimulationSpec(pattern="cosine", n_curves=2, n_samples=n, sigma=0.5,
+                          shifts=np.array([0.0, 0.9 * period / T]), replicates=1, seed=5,
+                          period=period)
+    return transform(generate(spec, 0).curves), spec.weights
 
 
 class TestNoiseVariance:
@@ -156,26 +142,41 @@ class TestGamma:
 
 class TestConfidenceIntervals:
     def test_half_width_arithmetic(self):
-        # Injected gamma_jj = 4 and sigma2 = 1 at level 0.95: half width is
-        # z_{0.975} * sqrt(4/n).
-        a = np.array([0.0, 0.9])
+        # Half width z_{0.975} sqrt(sigma2 gamma_11 / n) from the report's own
+        # estimates, on noisy data so that both are positive.
         n = 101
-        table = cosine_table(a, n=n)
-        res = minimize(CriterionContext(table, WeightScheme.unit(50)))
-        report = confidence_intervals(
-            res, table, WeightScheme.unit(50), level=0.95,
-            sigma2=1.0, gamma=np.array([[4.0]]),
-        )
+        table, weights = noisy_table(n)
+        res = minimize(CriterionContext(table, weights))
+        report = confidence_intervals(res, table, weights, level=0.95)
+        assert report.sigma2_hat > 0.0
+        se = np.sqrt(report.sigma2_hat * report.gamma_hat[0, 0] / n)
+        assert report.std_errors[0] == pytest.approx(se, rel=1e-12)
         half = 0.5 * (report.intervals_alpha[0, 1] - report.intervals_alpha[0, 0])
-        expected = 1.959963984540054 * np.sqrt(4.0 / n)
-        assert half == pytest.approx(expected, rel=1e-10)
-        assert report.std_errors[0] == pytest.approx(np.sqrt(4.0 / n), rel=1e-12)
+        assert half == pytest.approx(ndtri(0.975) * se, rel=1e-10)
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_z_is_ndtri(self, level):
+        # Centered at zero, the interval ends are -z se and z se exactly, and
+        # the stacked half widths are z times the same root.
+        spec = SimulationSpec(pattern="sinc15", n_curves=3, n_samples=101, sigma=1.0,
+                              replicates=12, seed=4)
+        z = ndtri(0.5 * (1.0 + level))
+        tables = [transform(generate(spec, r).curves) for r in range(spec.replicates)]
+        for table in tables:
+            report = confidence_intervals(np.zeros(2), table, spec.weights, level)
+            assert np.array_equal(report.intervals_alpha[:, 1], z * report.std_errors)
+            assert np.array_equal(report.intervals_alpha[:, 0], -(z * report.std_errors))
+        ct = np.stack([t.coeffs for t in tables])
+        sigma2 = inference._noise_variance(ct)
+        scalar = inference._gamma_scalar(inference._debiased_power(ct, sigma2), spec.weights)
+        expected = z * np.sqrt(sigma2 * (scalar * 2.0) / spec.n_samples)
+        assert np.array_equal(interval_half_widths(ct, spec.weights, level), expected)
 
     def test_nominal_value_from_spec_arithmetic(self):
         # With n = 100 the half width is 1.96 * 2/10 = 0.392 (to 3 decimals);
         # checked through the formula rather than a full table because the
         # transform itself requires odd n.
-        half = norm_ppf(0.975) * np.sqrt(1.0 * 4.0 / 100)
+        half = ndtri(0.975) * np.sqrt(1.0 * 4.0 / 100)
         assert half == pytest.approx(0.392, abs=5e-4)
 
     def test_zero_width_for_noiseless_data(self):
@@ -251,13 +252,15 @@ class TestConfidenceIntervals:
         assert np.isnan(half[-1])
 
     def test_time_interval_scaling(self):
-        a = np.array([0.0, 0.9])
-        table = cosine_table(a)
-        res = minimize(CriterionContext(table, WeightScheme.unit(50)))
-        report = confidence_intervals(res, table, WeightScheme.unit(50),
-                                      sigma2=1.0, gamma=np.array([[4.0]]))
+        n = 101
+        table, weights = noisy_table(n, period=2.0)
+        res = minimize(CriterionContext(table, weights))
+        report = confidence_intervals(res, table, weights)
+        se = np.sqrt(report.sigma2_hat * report.gamma_hat[0, 0] / n)
+        half = 0.5 * (report.intervals_theta[0, 1] - report.intervals_theta[0, 0])
+        assert half == pytest.approx(ndtri(0.975) * se / np.pi, rel=1e-10)
         assert np.allclose(report.intervals_theta,
-                           report.intervals_alpha * (T / (2 * np.pi)))
+                           report.intervals_alpha * (2.0 / (2 * np.pi)))
 
 
 class TestSincFluctuations:

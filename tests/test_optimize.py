@@ -314,12 +314,6 @@ class TestMinimize:
             lower += f < two_start
         assert lower > 0  # measured 10-14 of 40 per setting
 
-    def test_extra_restarts_accepted(self):
-        curves = cosine_curves([0.0, -2.0, 1.3])
-        ctx = CriterionContext(transform(curves), WeightScheme.unit(50))
-        res = minimize(ctx, OptimizerConfig(restarts=3, gradient_tolerance=1e-10))
-        assert np.max(np.abs(res.alpha_hat.free - [-2.0, 1.3])) < 1e-6
-
     def test_result_in_principal_box(self):
         for seed in range(3):
             spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=51,
@@ -354,15 +348,19 @@ def assert_rows_equal(stacked_out, single_outs):
 class TestStackedEngine:
     """One stacked Newton pass gives each problem the run it would have alone."""
 
-    @pytest.mark.parametrize("restarts", [None, 2])
+    @pytest.mark.parametrize("max_iterations", [None, 2])
     @pytest.mark.parametrize("weights", ["power:1.3", "unit", "power:1.0"])
     @pytest.mark.parametrize("pattern,n_curves,sigma", [("cosine", 4, 1.0), ("sinc15", 5, 3.0)])
     def test_stack_equals_one_replicate_at_a_time(self, pattern, n_curves, sigma, weights,
-                                                  restarts):
+                                                  max_iterations):
+        # Under unit and power:1.0 weights a budget of 2 iterations stops
+        # most runs before they converge, so a table's winner is picked among
+        # unfinished runs.
         scheme = (WeightScheme.unit(50) if weights == "unit"
                   else WeightScheme.power(float(weights.split(":")[1]), 50))
         stacked, singles = stacked_contexts(pattern, scheme, n_curves, 101, sigma, 8, 6)
-        config = OptimizerConfig(restarts=restarts)
+        config = (OptimizerConfig() if max_iterations is None
+                  else OptimizerConfig(max_iterations=max_iterations))
         out = optimize._minimize_tables(stacked, config)
         alone = []
         for ctx in singles:
@@ -370,14 +368,14 @@ class TestStackedEngine:
             alone.append(([res.alpha_hat.free], [res.criterion_value], [res.iterations],
                           [res.converged], [res.gradient_max], None))
         assert_rows_equal(out, alone)
-        x0, owner = optimize._starts(stacked, restarts)
+        x0, owner = optimize._starts(stacked)
         rows_per_table = np.bincount(owner)
         assert rows_per_table.sum() == x0.shape[0]
         if weights == "power:1.3":
-            assert np.all(rows_per_table == 1 + (restarts or 0))
-        else:  # scan, lag and zero starts, duplicates dropped, then the lattice
-            assert np.all(rows_per_table >= 1 + (restarts or 0))
-            assert rows_per_table.max() == 3 + (restarts or 0)
+            assert np.all(rows_per_table == 1)
+        else:  # scan, lag and zero starts, duplicates dropped
+            assert np.all(rows_per_table >= 1)
+            assert rows_per_table.max() == 3
 
     def stack_with_slow_and_indefinite_rows(self):
         # Scan starts of six sinc15 tables converge in 2 iterations from a
@@ -386,7 +384,7 @@ class TestStackedEngine:
         # (3, 3, -3) takes 10.
         stacked, singles = stacked_contexts("sinc15", WeightScheme.power(1.3, 50), 4, 101, 2.0,
                                             6, 3)
-        x0, owner = optimize._starts(stacked, None)
+        x0, owner = optimize._starts(stacked)
         x0 = np.vstack([x0, np.zeros(3), [3.0, 3.0, -3.0]])
         owner = np.concatenate([owner, [0, 1]])
         table = SpectralTable(coeffs=stacked.table.coeffs[owner], period=T)
@@ -437,5 +435,3 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(restarts=-1)

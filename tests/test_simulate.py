@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.special import ndtri
 
 from curveshift import (
     PATTERNS,
@@ -120,6 +121,20 @@ class TestGenerate:
         m = noise.size
         assert abs(noise.mean()) < 3 * 2.0 / np.sqrt(m)
         assert abs(noise.var() - 4.0) < 3 * 4.0 * np.sqrt(2.0 / m)
+
+    def test_noise_is_ndtri_of_the_uniforms(self):
+        # Each replicate's stream gives its shifts, then its (J, n) uniforms;
+        # the noise is sigma * ndtri of those uniforms, bit for bit.
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=51, sigma=2.0,
+                              replicates=3, seed=11)
+        samples, theta, _ = simulate._draw(spec, range(3))
+        clean, clean_theta, _ = simulate._draw(dataclasses.replace(spec, sigma=0.0), range(3))
+        assert np.array_equal(theta, clean_theta)
+        for r in range(3):
+            rng = simulate._replicate_rng(spec.seed, r)
+            rng.random(spec.n_curves - 1)
+            u = simulate._uniforms(rng, (spec.n_curves, spec.n_samples))
+            assert np.array_equal(samples[r], clean[r] + spec.sigma * ndtri(u))
 
     def test_custom_pattern_spectral_shift(self):
         # A custom sampled pattern is shifted in the frequency domain; for a
@@ -277,7 +292,7 @@ class TestStackedStudy:
     def test_study_equals_replicate_loop(self, weights):
         spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=2.0,
                               weights=weights, replicates=12, seed=31)
-        config = OptimizerConfig(restarts=1)
+        config = OptimizerConfig()
         summary = run_study(spec, config)
         covered = []
         for r in range(spec.replicates):
