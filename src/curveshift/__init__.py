@@ -25,19 +25,13 @@ from .fourier import (
     WeightScheme,
     forward_dft,
     inverse_dft,
-    mean_rephased,
     rephase,
     synthesize,
     transform,
 )
-from .inference import (
-    CovarianceReport,
-    confidence_intervals,
-    estimate_gamma,
-    estimate_noise_variance,
-)
-from .landmark import LandmarkConfig, align_by_max, landmark_shifts, max_location, smooth
-from .optimize import EstimationResult, OptimizerConfig, initialize, minimize
+from .inference import CovarianceReport, confidence_intervals
+from .landmark import LandmarkConfig, landmark_shifts, max_location, smooth
+from .optimize import EstimationResult, OptimizerConfig, minimize
 from .simulate import (
     PATTERNS,
     MonteCarloSummary,

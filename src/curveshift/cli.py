@@ -68,12 +68,12 @@ def _write_lines(path: Path, header: list[str], lines) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    _write_lines(path, header, (",".join(cell if isinstance(cell, str) else _fmt(cell)
-                                         for cell in row) for row in rows))
+    """Rows of already formatted cells."""
+    _write_lines(path, header, (",".join(row) for row in rows))
 
 
 def _write_array_csv(path: Path, header: list[str], values: np.ndarray) -> None:
-    """A float matrix, one row per line: the bytes `_write_csv` writes for its rows."""
+    """A float matrix, one row per line, each value written as `_fmt` writes it."""
     _write_lines(path, header, (",".join(map(repr, row))
                                 for row in np.asarray(values, dtype=float).tolist()))
 
@@ -181,18 +181,21 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
     except OSError as exc:
         raise _input_error(f"cannot read weight file {path}: {exc}") from exc
     start = 1 if lines and lines[0].replace(" ", "") == "l,delta" else 0
+    seen = set()
     for i, ln in enumerate(lines[start:], start=start + 1):
         try:
             l_str, d_str = ln.split(",")
             l, d = int(l_str), float(d_str)
         except ValueError as exc:
             raise _input_error(f"{path}: line {i}: expected 'l,delta'") from exc
+        if l in seen:
+            raise _input_error(f"{path}: line {i}: frequency l = {l} is listed twice")
+        seen.add(l)
         if abs(l) <= max_frequency:
             values[l + max_frequency] = d
     values[max_frequency] = 0.0
-    sym = 0.5 * (values + values[::-1])
     try:
-        return WeightScheme.custom(sym)
+        return WeightScheme.custom(values)
     except ValueError as exc:
         raise _input_error(f"{path}: {exc}") from exc
 

@@ -25,7 +25,6 @@ for the gradient and Hessian once the point is accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "wrap_time",
     "full_phases",
     "evaluate",
-    "evaluate_unconstrained",
     "gradient",
     "hessian",
     "grid_profile",
@@ -154,11 +152,6 @@ def _hessian(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
     return (2.0 / J**2) * H
 
 
-def evaluate_unconstrained(ctx: CriterionContext, phases) -> float:
-    """Contrast for all J phases free (used to test common-phase invariance)."""
-    return float(_value(ctx, rephase(ctx.table, phases).coeffs))
-
-
 def evaluate(ctx: CriterionContext, alpha) -> float:
     """Contrast value at constrained phases (alpha_1 = 0).  Nonnegative."""
     return float(_value(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs))
@@ -211,21 +204,13 @@ class IdentifiabilityCheck:
     message: str
 
 
-def _has_coprime_pair(ls) -> bool:
-    ls = sorted(ls, key=abs)
-    for i in range(len(ls)):
-        for k in range(i + 1, len(ls)):
-            if math.gcd(abs(int(ls[i])), abs(int(ls[k]))) == 1:
-                return True
-    return False
-
-
 def check_identifiability(ctx: CriterionContext, threshold: float | None = None) -> IdentifiabilityCheck:
-    """Check that the weighted active spectrum contains two coprime frequencies.
+    """Check that the weighted active frequencies are coprime (their gcd is 1).
 
     Uniqueness of the population contrast minimum needs the active frequency
-    set {l : delta_l |c_l| != 0} to contain a coprime pair; otherwise the
-    candidate shifts are only identified on a sublattice of the circle.  The
+    set {l : delta_l |c_l| != 0} to have greatest common divisor 1; with gcd
+    g > 1 the contrast is 2pi/g-periodic in every phase, so the candidate
+    shifts are only identified on a sublattice of the circle.  The
     true |c_l| are unknown, so activity is judged from the noisy magnitudes
     mean_j |d_{jl}| against `threshold` (default 3 sigma_rough / sqrt(n),
     with sigma_rough read off the top-|l| quarter of the spectrum).  This is
@@ -242,8 +227,8 @@ def check_identifiability(ctx: CriterionContext, threshold: float | None = None)
         threshold = 3.0 * np.sqrt(sigma2_rough / n)
     active_mask = (ls != 0) & (ctx.weights.values > 0) & (mags > threshold)
     active = ls[active_mask]
-    if active.size >= 2 and _has_coprime_pair(active):
-        msg = "active frequencies contain a coprime pair"
+    if active.size >= 2 and np.gcd.reduce(np.abs(active)) == 1:
+        msg = "active frequencies are coprime (gcd 1)"
         return IdentifiabilityCheck(True, active, float(threshold), msg)
     if active.size < 2:
         msg = (

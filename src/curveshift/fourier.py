@@ -32,7 +32,6 @@ __all__ = [
     "transform",
     "synthesize",
     "rephase",
-    "mean_rephased",
 ]
 
 
@@ -245,8 +244,3 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
         raise ValueError("alpha must be finite")
     phases = np.exp(1j * (a[..., None] * table.frequencies))
     return SpectralTable(coeffs=table.coeffs * phases, period=table.period)
-
-
-def mean_rephased(table: SpectralTable, alpha) -> np.ndarray:
-    """Cross-curve mean of the rephased coefficients, one value per l."""
-    return rephase(table, alpha).coeffs.mean(axis=-2)

@@ -32,8 +32,6 @@ from .fourier import SpectralTable, WeightScheme, rephase
 
 __all__ = [
     "CovarianceReport",
-    "estimate_noise_variance",
-    "estimate_gamma",
     "gamma_from_power",
     "interval_half_widths",
     "confidence_intervals",
@@ -81,19 +79,6 @@ def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
     return np.reshape(scalar, np.shape(denom))
 
 
-def estimate_noise_variance(table: SpectralTable, alpha_hat) -> float:
-    """Noise variance from the within-frequency residual dispersion.
-
-    At the true phases, E sum_j |ct_{jl} - cb_l|^2 = (J-1) sigma^2 / n for
-    every l, so averaging over frequencies and scaling by n/(J-1) is
-    unbiased.  Requires J >= 2; with a single curve the variance is
-    confounded with the pattern.
-    """
-    if table.n_curves < 2:
-        raise ValueError("noise variance is unidentifiable from a single curve")
-    return float(_noise_variance(rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs))
-
-
 def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
     """Gamma matrix for given squared coefficient magnitudes |c_l|^2."""
     m = np.asarray(magnitudes_sq, dtype=float)
@@ -107,17 +92,6 @@ def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.
         )
     k = n_curves - 1
     return scalar * (np.eye(k) + np.ones((k, k)))
-
-
-def estimate_gamma(table: SpectralTable, weights: WeightScheme, alpha_hat, sigma2_hat: float) -> np.ndarray:
-    """Plug-in Gamma with debiased squared magnitudes.
-
-    |c_l|^2 is estimated by |cb_l(alpha_hat)|^2 - sigma2/(n J), floored at
-    zero; the correction removes the noise contribution to the mean
-    coefficient's modulus.
-    """
-    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
-    return gamma_from_power(_debiased_power(ct, sigma2_hat), weights, table.n_curves)
 
 
 def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):

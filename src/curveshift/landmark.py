@@ -24,7 +24,7 @@ from .criterion import wrap_time
 from .fourier import CurveSet
 
 __all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "max_location",
-           "landmark_shifts", "align_by_max"]
+           "landmark_shifts"]
 
 FLAT_TOLERANCE = 1e-9
 
@@ -141,11 +141,3 @@ def landmark_shifts(
     shifts[rel] = wrap_time((locs - locs[..., :1])[rel], T)
     shifts[..., 0] = np.where(first[..., 0], 0.0, np.nan)
     return shifts, ok
-
-
-def align_by_max(curves: CurveSet, config: LandmarkConfig | None = None) -> np.ndarray:
-    """The shifts of `landmark_shifts`; raises ValueError if any landmark is undefined."""
-    shifts, ok = landmark_shifts(curves, config)
-    if not ok.all():
-        raise ValueError("landmark undefined: curve maximum is not unique within tolerance")
-    return shifts

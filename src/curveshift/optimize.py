@@ -41,7 +41,7 @@ from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian,
                         full_phases, wrap_phase)
 from .fourier import SpectralTable, rephase
 
-__all__ = ["OptimizerConfig", "EstimationResult", "initialize", "minimize"]
+__all__ = ["OptimizerConfig", "EstimationResult", "minimize"]
 
 CONTRACTION = 0.5  # line-search step factor per rejected trial
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant: accept f_try <= f + c * step * g.d
@@ -140,9 +140,12 @@ def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
     """Start rows (P, J-1) for every table of ctx, and the table index of each row.
 
     A single (J, 2L+1) table counts as table 0.  Per table the rows are the
-    scan start, then under flagged weights the lag and zero starts with
-    duplicates dropped.  Every table's scan runs in one `_correlation_argmax`
-    call, and so does every lag.
+    scan start, then under flagged weights the unweighted n-point lag and the
+    zero vector, with duplicates dropped.  The scan grid is the 8n phases
+    2 pi k/(8n): it holds every sample-grid shift, so noiseless grid shifts
+    are found exactly, and a curve with a zero weighted cross spectrum starts
+    at 0.  Every table's scan runs in one `_correlation_argmax` call, and so
+    does every lag.
     """
     table = ctx.table
     n, dim = table.n_samples, table.n_curves - 1
@@ -160,23 +163,6 @@ def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
         rows += unique
         owner += [r] * len(unique)
     return np.array(rows), np.array(owner)
-
-
-def initialize(ctx: CriterionContext) -> list[np.ndarray]:
-    """Starting points: a weighted scan, plus the lag and zero starts under flagged weights.
-
-    The scan start maximizes each curve's correlation with curve 1 under the
-    contrast's own weights w_l^2, on m = 8n phases 2 pi k/m, k = 0..m-1: a
-    length-n inverse FFT scans every eighth phase, and only the cells between
-    those that can hold the maximum are summed directly
-    (`_correlation_argmax`).  Shifts on the sample grid (multiples of
-    2 pi/n) are on the scan grid, so noiseless grid shifts are found exactly.
-    A curve whose weighted cross spectrum is zero has a constant correlation
-    and starts at 0.  When the weights carry a fluctuation warning, the
-    unweighted lag on the n-point grid and the zero vector are added;
-    duplicates are dropped.
-    """
-    return list(_starts(ctx)[0])
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:

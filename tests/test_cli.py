@@ -275,6 +275,26 @@ class TestEstimate:
         report = json.loads((out / "report.json").read_text())
         assert report["theta_hat"][1] == pytest.approx(0.8, abs=1e-6)
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,1.0", "2,1.0", "3,1.0"], "symmetric"),
+        (["1,1.0", "-1,0.2"], "symmetric"),
+        (["1,1.0", "-1,1.0", "1,0.5"], "line 4: frequency l = 1 is listed twice"),
+    ], ids=["one-sided", "unequal-pair", "repeated-l"])
+    def test_weights_file_read_as_written_or_rejected(self, tmp_path, capsys, rows, message):
+        # A weight file is never averaged with its mirror or silently overwritten.
+        n = 101
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(t), np.cos(t - 0.8)])
+        wfile = tmp_path / "w.csv"
+        wfile.write_text("\n".join(["l,delta"] + rows) + "\n")
+        out = tmp_path / "o"
+        rc = main(["estimate", "--input", str(src), "--output-dir", str(out),
+                   "--weights", f"file:{wfile}"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestSimulate:
     def test_figure_grid_layout(self, tmp_path):

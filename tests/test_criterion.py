@@ -20,9 +20,10 @@ from curveshift import (
     gradient,
     grid_profile,
     hessian,
+    rephase,
     transform,
 )
-from curveshift.criterion import evaluate_unconstrained
+from curveshift.criterion import _value
 
 T = 2.0 * np.pi
 
@@ -94,8 +95,7 @@ class TestEvaluate:
         rng = np.random.default_rng(seed)
         ctx, alpha = random_instance(rng, max_curves=5, max_samples=31)
         phases = np.concatenate([[0.0], alpha])
-        v0 = evaluate_unconstrained(ctx, phases)
-        v1 = evaluate_unconstrained(ctx, phases + shift)
+        v0, v1 = (float(_value(ctx, rephase(ctx.table, p).coeffs)) for p in (phases, phases + shift))
         assert v1 == pytest.approx(v0, rel=1e-10, abs=1e-12)
 
     def test_lattice_periodicity_single_frequency(self):
@@ -230,6 +230,17 @@ class TestIdentifiability:
         check = check_identifiability(ctx)
         assert not check.ok
         assert "coprime" in check.message
+
+    def test_gcd_one_without_coprime_pair_passes(self):
+        # {6, 10, 15}: every pair shares a factor, but together their gcd is 1,
+        # so no common sublattice period survives.
+        n = 41
+        t = np.arange(n) * T / n
+        rows = np.vstack([sum(np.cos(l * (t - s)) for l in (6, 10, 15)) for s in (0.0, 0.4)])
+        ctx = CriterionContext(transform(CurveSet(samples=rows, period=T)), WeightScheme.unit(20))
+        check = check_identifiability(ctx)
+        assert set(np.abs(check.active_frequencies)) == {6, 10, 15}
+        assert check.ok
 
     def test_weights_mask_frequencies(self):
         # Two harmonics in the signal, but the weights keep only l = +-2,

@@ -9,8 +9,6 @@ from curveshift import (
     SpectralTable,
     WeightScheme,
     confidence_intervals,
-    estimate_gamma,
-    estimate_noise_variance,
     generate,
     minimize,
     run_study,
@@ -39,14 +37,14 @@ def noisy_table(n, period=T):
 class TestNoiseVariance:
     def test_noiseless_gives_zero(self):
         a = np.array([0.0, 0.7, -0.3])
-        table = cosine_table(a)
-        assert estimate_noise_variance(table, a[1:]) == pytest.approx(0.0, abs=1e-25)
+        report = confidence_intervals(a[1:], cosine_table(a), WeightScheme.unit(50))
+        assert report.sigma2_hat == pytest.approx(0.0, abs=1e-25)
 
     def test_single_curve_rejected(self):
         coeffs = np.zeros((1, 5), dtype=complex)
         table = SpectralTable(coeffs=coeffs, period=T)
         with pytest.raises(ValueError, match="single curve"):
-            estimate_noise_variance(table, np.zeros(0))
+            confidence_intervals(np.zeros(0), table, WeightScheme.unit(2))
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_monte_carlo_unbiased(self, sigma):
@@ -57,7 +55,8 @@ class TestNoiseVariance:
         vals = np.empty(500)
         for r in range(500):
             rep = generate(spec, r)
-            vals[r] = estimate_noise_variance(transform(rep.curves), rep.alpha[1:])
+            report = confidence_intervals(rep.alpha[1:], transform(rep.curves), spec.weights)
+            vals[r] = report.sigma2_hat
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - sigma**2) < 3 * se
 
@@ -68,14 +67,14 @@ class TestGamma:
         for J in (2, 4):
             a = np.linspace(0.0, 1.0, J)
             table = cosine_table(a)
-            gamma = estimate_gamma(table, WeightScheme.unit(50), a[1:], 0.0)
+            gamma = confidence_intervals(a[1:], table, WeightScheme.unit(50)).gamma_hat
             k = J - 1
             expected = 2.0 * (np.eye(k) + np.ones((k, k)))
             assert np.max(np.abs(gamma - expected)) < 1e-10
 
     def test_two_curves_scalar_four(self):
         a = np.array([0.0, 0.9])
-        gamma = estimate_gamma(cosine_table(a), WeightScheme.unit(50), a[1:], 0.0)
+        gamma = confidence_intervals(a[1:], cosine_table(a), WeightScheme.unit(50)).gamma_hat
         assert gamma.shape == (1, 1)
         assert gamma[0, 0] == pytest.approx(4.0, abs=1e-10)
 
@@ -86,9 +85,8 @@ class TestGamma:
         t = np.arange(n) * T / n
         rows = np.vstack([np.cos(t), -np.cos(t)])
         table = transform(CurveSet(samples=rows, period=T))
-        sigma2 = estimate_noise_variance(table, np.zeros(1))
         with pytest.raises(ValueError, match="indistinguishable from noise"):
-            estimate_gamma(table, WeightScheme.unit(10), np.zeros(1), sigma2)
+            confidence_intervals(np.zeros(1), table, WeightScheme.unit(10))
 
     def test_eigenvalue_structure(self):
         # scalar (I + U) has eigenvalues scalar (J-2 times) and scalar * J.
@@ -96,9 +94,7 @@ class TestGamma:
         spec = SimulationSpec(pattern="sinc15", n_curves=J, n_samples=101,
                               sigma=1.0, replicates=1, seed=5)
         rep = generate(spec, 0)
-        table = transform(rep.curves)
-        sigma2 = estimate_noise_variance(table, rep.alpha[1:])
-        gamma = estimate_gamma(table, spec.weights, rep.alpha[1:], sigma2)
+        gamma = confidence_intervals(rep.alpha[1:], transform(rep.curves), spec.weights).gamma_hat
         eig = np.sort(np.linalg.eigvalsh(gamma))
         scalar = gamma[0, 1]
         assert np.allclose(eig[:-1], scalar, rtol=1e-10)
@@ -114,10 +110,9 @@ class TestGamma:
         scaled = CurveSet(samples=lam * rep.curves.samples, period=T)
         t1, t2 = transform(rep.curves), transform(scaled)
         a = rep.alpha[1:]
-        s1, s2 = estimate_noise_variance(t1, a), estimate_noise_variance(t2, a)
+        r1, r2 = (confidence_intervals(a, t, spec.weights) for t in (t1, t2))
+        s1, s2, g1, g2 = r1.sigma2_hat, r2.sigma2_hat, r1.gamma_hat, r2.gamma_hat
         assert s2 == pytest.approx(lam**2 * s1, rel=1e-12)
-        w = spec.weights
-        g1, g2 = estimate_gamma(t1, w, a, s1), estimate_gamma(t2, w, a, s2)
         assert np.allclose(g2, g1 / lam**2, rtol=1e-10)
         assert np.allclose(s2 * g2, s1 * g1, rtol=1e-10)
 
@@ -216,8 +211,9 @@ class TestConfidenceIntervals:
                               replicates=1, seed=8)
         table = transform(generate(spec, 0).curves)
         res = minimize(CriterionContext(table, spec.weights))
-        sigma2 = estimate_noise_variance(table, res.alpha_hat)
-        gamma = estimate_gamma(table, spec.weights, res.alpha_hat, sigma2)
+        ct = rephase(table, res.alpha_hat.full()).coeffs
+        sigma2 = float(inference._noise_variance(ct))
+        gamma = gamma_from_power(inference._debiased_power(ct, sigma2), spec.weights, 6)
         calls = []
         original = fourier.rephase
 

@@ -4,7 +4,6 @@ import pytest
 from curveshift import (
     CurveSet,
     LandmarkConfig,
-    align_by_max,
     landmark_shifts,
     max_location,
     smooth,
@@ -87,14 +86,21 @@ class TestMaxLocation:
         assert hits / 200 >= COSINE_RATE_BOUND
 
 
-class TestAlignByMax:
+def located_shifts(curves, config=None):
+    """The shifts of `landmark_shifts`, after checking that every landmark is defined."""
+    shifts, ok = landmark_shifts(curves, config)
+    assert ok.all()
+    return shifts
+
+
+class TestLandmarkShifts:
     def test_grid_shifted_unimodal_exact(self):
         n = 101
         t = np.arange(n) * T / n
         base = np.exp(np.cos(t))  # one peak per period
         ks = [0, 7, -20, 33]
         rows = np.vstack([np.roll(base, k) for k in ks])
-        shifts = align_by_max(CurveSet(samples=rows, period=T))
+        shifts = located_shifts(CurveSet(samples=rows, period=T))
         expected = np.array([k * T / n for k in ks])
         expected[expected > T / 2] -= T
         assert np.allclose(shifts, expected, atol=1e-9)
@@ -103,7 +109,7 @@ class TestAlignByMax:
         n = 51
         t = np.arange(n) * T / n
         rows = np.vstack([np.cos(t - 1.0)] * 3)
-        shifts = align_by_max(CurveSet(samples=rows, period=T))
+        shifts = located_shifts(CurveSet(samples=rows, period=T))
         assert np.array_equal(shifts, np.zeros(3))
 
     def test_constant_offset_invariance(self):
@@ -115,8 +121,8 @@ class TestAlignByMax:
             np.exp(np.cos(t - 0.9)) + 0.05 * spec_rng.normal(size=n),
         ])
         cfg = LandmarkConfig(bandwidth=0.6)
-        base = align_by_max(CurveSet(samples=rows, period=T), cfg)
-        offset = align_by_max(CurveSet(samples=rows + 11.5, period=T), cfg)
+        base = located_shifts(CurveSet(samples=rows, period=T), cfg)
+        offset = located_shifts(CurveSet(samples=rows + 11.5, period=T), cfg)
         assert np.allclose(base, offset, atol=1e-12)
 
     def test_circular_shift_equivariance(self):
@@ -126,19 +132,20 @@ class TestAlignByMax:
         y1 = np.exp(np.cos(t)) + 0.02 * rng.normal(size=n)
         y2 = np.exp(np.cos(t - 1.3)) + 0.02 * rng.normal(size=n)
         cfg = LandmarkConfig(bandwidth=0.6)
-        base = align_by_max(CurveSet(samples=np.vstack([y1, y2]), period=T), cfg)
+        base = located_shifts(CurveSet(samples=np.vstack([y1, y2]), period=T), cfg)
         k = 9
-        rolled = align_by_max(CurveSet(samples=np.vstack([y1, np.roll(y2, k)]), period=T), cfg)
+        rolled = located_shifts(CurveSet(samples=np.vstack([y1, np.roll(y2, k)]), period=T), cfg)
         assert rolled[1] - base[1] == pytest.approx(k * T / n, abs=1e-9)
 
-    def test_flat_member_raises(self):
+    def test_flat_member_flagged(self):
         n = 31
         t = np.arange(n) * T / n
         cfg = LandmarkConfig(bandwidth=0.4)
         rows = np.vstack([np.cos(t), np.zeros(n)])
-        with pytest.raises(ValueError, match="landmark undefined"):
-            align_by_max(CurveSet(samples=rows, period=T), cfg)
-        # The per-curve function flags only the flat curve and locates the rest.
+        shifts, ok = landmark_shifts(CurveSet(samples=rows, period=T), cfg)
+        assert ok.tolist() == [True, False]
+        assert shifts[0] == 0.0 and np.isnan(shifts[1])
+        # Only the flat curve is flagged; the rest are located.
         rows = np.vstack([np.cos(t), np.zeros(n), np.cos(t - 0.5)])
         shifts, ok = landmark_shifts(CurveSet(samples=rows, period=T), cfg)
         assert ok.tolist() == [True, False, True]
@@ -153,6 +160,6 @@ class TestAlignByMax:
         n = 51
         t = np.arange(n) * T / n
         rows = np.vstack([np.exp(np.cos(t)), np.exp(np.cos(t - 0.4))])
-        shifts = align_by_max(CurveSet(samples=rows, period=T), LandmarkConfig(bandwidth=0.5))
+        shifts = located_shifts(CurveSet(samples=rows, period=T), LandmarkConfig(bandwidth=0.5))
         assert shifts[0] == 0.0
         assert shifts[1] == pytest.approx(0.4, abs=0.05)

@@ -11,7 +11,6 @@ from curveshift import (
     SpectralTable,
     WeightScheme,
     generate,
-    initialize,
     minimize,
     transform,
     wrap_phase,
@@ -21,7 +20,7 @@ from curveshift.criterion import evaluate, grid_profile, hessian
 
 T = 2.0 * np.pi
 
-# Initializer accuracy on the noisy sinc protocol (J = 10, n = 101,
+# Scan-start accuracy on the noisy sinc protocol (J = 10, n = 101,
 # sigma = 1): measured share of per-curve scan starts within 2 pi / n of the
 # true phase was 0.981 over 200 replicates (seed 20260809); the whole-vector
 # rate was 0.905.  The unweighted n-point lag start measured 0.985 and 0.875.
@@ -45,7 +44,12 @@ def cosine_curves(alphas_full, n=101):
     return CurveSet(samples=np.vstack([np.cos(t - a) for a in alphas_full]), period=T)
 
 
-class TestInitialize:
+def start_rows(ctx):
+    """The start rows of `optimize._starts` for one table."""
+    return optimize._starts(ctx)[0]
+
+
+class TestStarts:
     def test_exact_on_grid_shifts(self):
         n = 101
         spec = SimulationSpec(
@@ -58,14 +62,14 @@ class TestInitialize:
         )
         rep = generate(spec, 0)
         ctx = CriterionContext(transform(rep.curves), spec.weights)
-        cand = initialize(ctx)[0]
+        cand = start_rows(ctx)[0]
         assert np.max(np.abs(wrap_phase(cand - rep.alpha[1:]))) < 1e-12
 
     def test_degenerate_spectrum_gives_only_zero(self):
         coeffs = np.zeros((2, 11), dtype=complex)
         coeffs[:, 5] = 3.0  # only l = 0 carries energy
         ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), WeightScheme.unit(5))
-        starts = initialize(ctx)
+        starts = start_rows(ctx)
         assert len(starts) == 1
         assert np.array_equal(starts[0], np.zeros(1))
 
@@ -78,7 +82,7 @@ class TestInitialize:
         for r in range(200):
             rep = generate(spec, r)
             ctx = CriterionContext(transform(rep.curves), spec.weights)
-            cand = initialize(ctx)[0]
+            cand = start_rows(ctx)[0]
             err = np.abs(wrap_phase(cand - rep.alpha[1:]))
             hits += int(np.sum(err <= 2 * np.pi / 101))
             total += err.size
@@ -95,7 +99,7 @@ class TestInitialize:
                                   replicates=1, seed=7)
             ctx = CriterionContext(transform(generate(spec, 0).curves), weights)
             best = grid[int(np.argmin(grid_profile(ctx, grid)))]
-            assert abs(wrap_phase(initialize(ctx)[0][0] - best)) < 1e-12
+            assert abs(wrap_phase(start_rows(ctx)[0][0] - best)) < 1e-12
 
     def test_scan_reads_both_halves_of_any_table(self):
         # A table that is not conjugate-symmetric (not from real curves):
@@ -110,15 +114,15 @@ class TestInitialize:
         p = weights.values**2 * coeffs[1] * np.conj(coeffs[0])
         corr = [np.real(np.sum(p * np.exp(1j * ls * a))) for a in grid]
         best = grid[int(np.argmax(corr))]
-        assert abs(wrap_phase(initialize(ctx)[0][0] - best)) < 1e-12
+        assert abs(wrap_phase(start_rows(ctx)[0][0] - best)) < 1e-12
 
     def test_flagged_weights_add_lag_and_zero_starts(self):
         spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,
                               replicates=1, seed=2)
         table = transform(generate(spec, 0).curves)
-        assert len(initialize(CriterionContext(table, spec.weights))) == 1
+        assert len(start_rows(CriterionContext(table, spec.weights))) == 1
         for weights in (WeightScheme.unit(50), WeightScheme.power(1.0, 50)):
-            starts = initialize(CriterionContext(table, weights))
+            starts = start_rows(CriterionContext(table, weights))
             assert len(starts) == 3
             assert np.array_equal(starts[1], lag_start(table))
             assert np.array_equal(starts[2], np.zeros(4))
