@@ -131,15 +131,16 @@ def _read_curves_csv(path: Path):
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _input_error(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln != ""]
+    # Blank lines are skipped; errors name the physical line.
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln != ""]
     if len(lines) < 2:
         raise _input_error(f"{path}: need a header row and at least one data row")
-    header = [name.strip() for name in lines[0].split(",")]
+    header = [name.strip() for name in lines[0][1].split(",")]
     for i, name in enumerate(header):
         if name in header[:i]:
             raise _input_error(f"{path}: duplicate column name {name!r}")
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(header):
             raise _input_error(f"{path}: line {i} has {len(cells)} fields, expected {len(header)}")
@@ -177,12 +178,14 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
     values = np.zeros(2 * max_frequency + 1)
     path = Path(token.split(":", 1)[1])
     try:
-        lines = [ln for ln in path.read_text(encoding="utf-8-sig").split("\n") if ln]
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _input_error(f"cannot read weight file {path}: {exc}") from exc
-    start = 1 if lines and lines[0].replace(" ", "") == "l,delta" else 0
+    # Blank lines are skipped; errors name the physical line.
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+    start = 1 if lines and lines[0][1].replace(" ", "") == "l,delta" else 0
     seen = set()
-    for i, ln in enumerate(lines[start:], start=start + 1):
+    for i, ln in lines[start:]:
         try:
             l_str, d_str = ln.split(",")
             l, d = int(l_str), float(d_str)
@@ -191,8 +194,10 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
         if l in seen:
             raise _input_error(f"{path}: line {i}: frequency l = {l} is listed twice")
         seen.add(l)
-        if abs(l) <= max_frequency:
-            values[l + max_frequency] = d
+        if abs(l) > max_frequency:
+            raise _input_error(f"{path}: line {i}: frequency l = {l} exceeds the data's "
+                               f"L = {max_frequency}")
+        values[l + max_frequency] = d
     values[max_frequency] = 0.0
     try:
         return WeightScheme.custom(values)

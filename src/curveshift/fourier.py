@@ -235,12 +235,16 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
     `alpha` has one entry per curve, in radians, on its last axis.  Its
     leading axes broadcast against the table's: P phase vectors (P, J) rephase
     one (J, 2L+1) table P ways, or a stack of P tables one way each.
-    Rephasing preserves the modulus of every coefficient.
+    Rephasing preserves the modulus of every coefficient.  Only l >= 1 takes
+    an exponential: exp(-i l a) is its conjugate bit for bit, because the
+    complex exponential is symmetric in the sign of the angle, and l = 0
+    takes 1.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim < 1 or a.shape[-1] != table.n_curves:
         raise ValueError("alpha must have one entry per curve")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    phases = np.exp(1j * (a[..., None] * table.frequencies))
+    half = np.exp(1j * (a[..., None] * np.arange(1, table.max_frequency + 1)))
+    phases = np.concatenate([np.conj(half[..., ::-1]), np.ones(a.shape + (1,)), half], axis=-1)
     return SpectralTable(coeffs=table.coeffs * phases, period=table.period)

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian, _value,
                         full_phases, wrap_phase)
@@ -165,16 +164,39 @@ def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(owner)
 
 
+TRIANGLE_BLOCK = 64  # rows per diagonal block of a triangular solve
+
+
+def _forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} b for a lower-triangular L in O(k^2): one dense solve per
+    diagonal block of at most TRIANGLE_BLOCK rows, each followed by a
+    matrix-vector update of the rows below it."""
+    y = np.array(b, dtype=float)
+    for lo in range(0, y.size, TRIANGLE_BLOCK):
+        hi = lo + TRIANGLE_BLOCK
+        y[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], y[lo:hi])
+        y[hi:] -= L[hi:, lo:hi] @ y[lo:hi]
+    return y
+
+
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
     """(d, g.d): the Newton step -H^{-1} g when H has a Cholesky factor and the
-    step descends, else steepest descent -g.  The LAPACK calls are those of
-    scipy's cho_factor and cho_solve, without their argument checks."""
-    c, info = dpotrf(H, lower=0, clean=0)
-    if info == 0:
-        d = -dpotrs(c, g, lower=0)[0]
-        gd = float(np.dot(g, d))
-        if gd < 0.0:
-            return d, gd
+    step descends, else steepest descent -g.
+
+    The factor is read from H's upper triangle, as LAPACK's dpotrf with
+    uplo='U' reads it: H.T = L L^T with L lower triangular.  The step then
+    takes two triangular solves, L y = g and L^T x = y; the second runs as a
+    forward substitution on L^T with rows and columns reversed, which is
+    lower triangular.
+    """
+    try:
+        L = np.linalg.cholesky(H.T)
+    except np.linalg.LinAlgError:  # H is not positive definite
+        return -g, -float(np.dot(g, g))
+    d = -_forward_substitute(L.T[::-1, ::-1], _forward_substitute(L, g)[::-1])[::-1]
+    gd = float(np.dot(g, d))
+    if gd < 0.0:
+        return d, gd
     return -g, -float(np.dot(g, g))
 
 

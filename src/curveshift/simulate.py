@@ -5,11 +5,13 @@ evaluate the chosen pattern at the shifted grid times and add white Gaussian
 noise.  Randomness comes from a counter-based Philox stream keyed by
 (seed, replicate_index), so any replicate can be regenerated independently
 and studies are reproducible bit for bit; normal deviates are produced by
-applying the inverse normal cdf (`scipy.special.ndtri`) to uniforms, which
-keeps the generation contract portable.
+applying the inverse normal cdf to uniforms, which keeps the generation
+contract portable.  The inverse cdf is `inference._ndtri`, a numpy port of
+Cephes ndtri: on the central branch it equals scipy's `special.ndtri` bit
+for bit, and in the tails its last bits follow numpy's `log`.
 
 A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
-and processes each block in one pass: one `ndtri` call, one
+and processes each block in one pass: one `_ndtri` call, one
 transform, one start scan, one stacked Newton run (`optimize`), one rephase
 for the intervals and one landmark smoothing.  Each replicate gets the
 numbers it would get alone.
@@ -25,14 +27,14 @@ evaluated for all l at once as one FFT of the Simpson-weighted samples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import CurveSet, SpectralTable, WeightScheme, forward_dft, inverse_dft, rephase, transform
-from .inference import gamma_from_power, interval_half_widths
+from .inference import _ndtri, gamma_from_power, interval_half_widths
 from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, _minimize_tables
 
@@ -146,8 +148,9 @@ def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.nda
     """Samples (B, J, n), shifts theta (B, J) and phases alpha (B, J) of replicates.
 
     Each replicate draws its shifts and then its uniforms from its own
-    Philox stream; the normal quantile (`ndtri`) and the pattern are then
-    evaluated once for the whole block.
+    Philox stream; the normal quantile and the pattern are then evaluated
+    once for the whole block.  The quantile is `inference._ndtri`, the numpy
+    port of Cephes ndtri, whose tail bits follow numpy's `log`.
     """
     J, n, T = spec.n_curves, spec.n_samples, spec.period
     B = len(indices)
@@ -165,7 +168,7 @@ def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.nda
     else:
         pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
         clean = inverse_dft(rephase(pattern, -alpha).coeffs)
-    noise = spec.sigma * ndtri(u) if u is not None else 0.0
+    noise = spec.sigma * _ndtri(u) if u is not None else 0.0
     return clean + noise, theta, alpha
 
 
@@ -179,23 +182,32 @@ def generate(spec: SimulationSpec, replicate_index: int) -> Replicate:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _named_coefficients(name: str, L: int, T: float) -> np.ndarray:
+    """Simpson coefficients of a named pattern; read-only, as the cache shares them."""
+    panels = max(16384, 64 * L)  # even, as Simpson needs
+    fvals = PATTERNS[name](np.linspace(0.0, T, panels + 1), T)
+    g = fvals[:-1] * np.tile([2.0, 4.0], panels // 2)
+    g[0] = fvals[0] + fvals[-1]
+    coeffs = np.fft.fft(g)[np.arange(-L, L + 1)] / (3 * panels)  # bin panels + l for l < 0
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def true_coefficients(spec: SimulationSpec) -> np.ndarray:
     """Exact Fourier coefficients of the pattern for l = -L..L.
 
     Named patterns are integrated with composite Simpson on a grid fine
     enough for the highest requested frequency, evaluated for every l as one
     FFT of the Simpson-weighted samples (exp(-2 pi i l t/T) is 1 at both ends,
-    so the endpoint sample folds onto t = 0); a custom sampled pattern is its
-    own band-limited truth, so its transform is returned directly.
+    so the endpoint sample folds onto t = 0).  That result is cached per
+    (pattern, L, period), and each call returns a copy.  A custom sampled
+    pattern is its own band-limited truth, so its transform is returned
+    directly.
     """
     if not isinstance(spec.pattern, str):
         return forward_dft(spec.pattern, spec.period)
-    L, T = spec.max_frequency, spec.period
-    panels = max(16384, 64 * L)  # even, as Simpson needs
-    fvals = PATTERNS[spec.pattern](np.linspace(0.0, T, panels + 1), T)
-    g = fvals[:-1] * np.tile([2.0, 4.0], panels // 2)
-    g[0] = fvals[0] + fvals[-1]
-    return np.fft.fft(g)[np.arange(-L, L + 1)] / (3 * panels)  # bin panels + l for l < 0
+    return _named_coefficients(spec.pattern, spec.max_frequency, spec.period).copy()
 
 
 def theoretical_gamma(spec: SimulationSpec) -> np.ndarray:

@@ -156,6 +156,17 @@ class TestEstimate:
         assert main([command, "--input", str(src), "--period", "-1"] + out) == 2
         assert "input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
+    def test_error_names_the_physical_line(self, tmp_path, capsys, command):
+        # Blank lines are skipped but still counted: the bad row is line 5.
+        src = tmp_path / "bad.csv"
+        src.write_text("a,b\n\n\n1,2\n1,x\n")
+        assert main([command, "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"{src}: line 5:" in capsys.readouterr().err
+        src.write_text("\na,b\n1,2\n\n1\n")
+        assert main([command, "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 2
+        assert f"{src}: line 5 has 1 fields" in capsys.readouterr().err
+
     @pytest.mark.parametrize("variant", ["bom", "crlf", "no-final-newline"])
     def test_bom_input_read_like_plain(self, tmp_path, variant):
         recode = {
@@ -279,7 +290,10 @@ class TestEstimate:
         (["1,1.0", "2,1.0", "3,1.0"], "symmetric"),
         (["1,1.0", "-1,0.2"], "symmetric"),
         (["1,1.0", "-1,1.0", "1,0.5"], "line 4: frequency l = 1 is listed twice"),
-    ], ids=["one-sided", "unequal-pair", "repeated-l"])
+        ([f"{s * l},1.0" for l in range(1, 61) for s in (1, -1)],
+         "line 102: frequency l = 51 exceeds the data's L = 50"),
+        (["1,1.0", "-1,1.0", "", "", "2,x"], "line 6: expected 'l,delta'"),
+    ], ids=["one-sided", "unequal-pair", "repeated-l", "beyond-L", "line-after-blanks"])
     def test_weights_file_read_as_written_or_rejected(self, tmp_path, capsys, rows, message):
         # A weight file is never averaged with its mirror or silently overwritten.
         n = 101
@@ -552,12 +566,40 @@ class TestPatternRegistry:
         assert set(PATTERNS) == {"sinc15", "cosine"}
 
 
+NO_SCIPY_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import curveshift.cli as cli
+
+
+def loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+
+work = Path(sys.argv[1])
+print("import", loaded())
+t = np.arange(51) * (2 * np.pi / 51)
+curves = np.cos(t[:, None] - [0.0, 0.3, -0.5])
+rows = ["a,b,c"] + [",".join(map(repr, row)) for row in curves.tolist()]
+(work / "in.csv").write_text("\\n".join(rows) + "\\n")
+study = ["--curves", "3", "--samples", "51", "--replicates", "2", "--seed", "1"]
+for argv in (["estimate", "--input", str(work / "in.csv")],
+             ["simulate", *study], ["compare-landmark", *study]):
+    assert cli.main(argv + ["--output-dir", str(work / argv[0])]) == 0
+    print(argv[0], loaded())
+"""
+
+
 class TestImportCost:
-    def test_cli_import_skips_scipy_integrate(self):
-        # scipy.integrate costs about a quarter second of every launch.
+    def test_no_scipy_module_is_loaded(self, tmp_path):
+        # A fresh process: importing curveshift.cli and running each
+        # subcommand loads no scipy module (scipy is a test-only dependency).
         src = Path(curveshift.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        code = "import sys, curveshift.cli; print('scipy.integrate' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.splitlines() == ["import []", "estimate []", "simulate []",
+                                    "compare-landmark []"]

@@ -109,6 +109,21 @@ class TestRephase:
         spread = np.max(np.abs(out.coeffs - out.coeffs[0]))
         assert spread < 1e-12
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+    def test_equals_literal_exponentials(self, shape):
+        # Only l >= 1 takes an exponential; the result is still that of
+        # exp(i l a) at every l, bit for bit, for negative, zero and +-pi
+        # phases, one table or a stack.
+        rng = np.random.default_rng(len(shape))
+        table = SpectralTable(rng.normal(size=shape + (41,)) + 1j * rng.normal(size=shape + (41,)),
+                              T)
+        a = rng.uniform(-4.0, 4.0, shape)
+        a.reshape(-1)[:4] = [0.0, -0.0, np.pi, -np.pi]
+        phases = np.exp(1j * (a[..., None] * table.frequencies))
+        expected = table.coeffs * phases
+        got = rephase(table, a).coeffs
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_single_entry_half_pi(self):
         # exp(i * 2 * pi/2) * 1 = exp(i pi) = -1
         coeffs = np.zeros((2, 5), dtype=complex)

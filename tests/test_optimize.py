@@ -433,6 +433,30 @@ class TestStackedEngine:
         assert out[5] == again[5]
 
 
+class TestNewtonDirection:
+    @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200, 999])
+    def test_matches_cho_solve(self, k):
+        # Only the upper triangle is read, as by LAPACK's dpotrf with
+        # uplo='U': the lower one is overwritten with noise.
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(k)
+        A = rng.standard_normal((k, k))
+        H = A @ A.T / k + 0.1 * np.eye(k)
+        H[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
+        g = rng.standard_normal(k)
+        d, gd = optimize._newton_direction(H, g)
+        expected = -cho_solve(cho_factor(H, lower=False), g)
+        assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert gd == float(np.dot(g, d)) and gd < 0.0
+
+    def test_steepest_descent_without_factor(self):
+        g = np.array([1.0, -2.0, 3.0])
+        for H in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
+            d, gd = optimize._newton_direction(H, g)
+            assert np.array_equal(d, -g) and gd == -14.0
+
+
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

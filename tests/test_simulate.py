@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from scipy.special import ndtri
 
 from curveshift import (
     PATTERNS,
@@ -15,6 +14,7 @@ from curveshift import (
     forward_dft,
     generate,
     grid_profile,
+    inference,
     landmark_shifts,
     minimize,
     run_study,
@@ -124,7 +124,8 @@ class TestGenerate:
 
     def test_noise_is_ndtri_of_the_uniforms(self):
         # Each replicate's stream gives its shifts, then its (J, n) uniforms;
-        # the noise is sigma * ndtri of those uniforms, bit for bit.
+        # the noise is sigma * the package's normal quantile of those
+        # uniforms, bit for bit.
         spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=51, sigma=2.0,
                               replicates=3, seed=11)
         samples, theta, _ = simulate._draw(spec, range(3))
@@ -134,7 +135,7 @@ class TestGenerate:
             rng = simulate._replicate_rng(spec.seed, r)
             rng.random(spec.n_curves - 1)
             u = simulate._uniforms(rng, (spec.n_curves, spec.n_samples))
-            assert np.array_equal(samples[r], clean[r] + spec.sigma * ndtri(u))
+            assert np.array_equal(samples[r], clean[r] + spec.sigma * inference._ndtri(u))
 
     def test_custom_pattern_spectral_shift(self):
         # A custom sampled pattern is shifted in the frequency domain; for a
@@ -186,6 +187,14 @@ class TestTrueCoefficients:
             integrand = fvals[None, :] * np.exp(-2j * np.pi * np.outer(chunk, t) / period)
             expected[start:start + 64] = simpson(integrand, x=t, axis=1) / period
         assert np.max(np.abs(true_coefficients(spec) - expected)) < 1e-13
+
+    def test_cached_result_is_not_shared(self):
+        spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, period=3.7)
+        first = true_coefficients(spec)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(true_coefficients(spec), expected)
+        assert np.array_equal(theoretical_gamma(spec), theoretical_gamma(spec))
 
     def test_custom_pattern_uses_own_transform(self):
         n = 21
