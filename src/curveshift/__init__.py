@@ -30,7 +30,7 @@ from .fourier import (
     transform,
 )
 from .inference import CovarianceReport, confidence_intervals
-from .landmark import LandmarkConfig, landmark_shifts, max_location, smooth
+from .landmark import LandmarkConfig, landmark_shifts, smooth
 from .optimize import EstimationResult, OptimizerConfig, minimize
 from .simulate import (
     PATTERNS,

@@ -286,15 +286,10 @@ def _optimizer_config(args) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 # estimate
 
-def cmd_estimate(args) -> int:
-    if not 0 < args.confidence < 1:
-        raise _input_error("--confidence must lie in (0, 1)")
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    warnings: list[str] = []
-    names, times, curves, n_input = _read_input(args, warnings)
-    n, period = curves.n_samples, curves.period
-
+def _fit(args, curves: CurveSet, warnings: list[str]):
+    """(table, weights, identifiability check, result) of the estimator on
+    observed curves, with warnings for flagged weights, a failed
+    identifiability check and a run that did not converge."""
     try:
         table = transform(curves)
         weights = _materialize_weights(args.weights, table.max_frequency)
@@ -312,6 +307,17 @@ def cmd_estimate(args) -> int:
         raise
     except ValueError as exc:
         raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
+    return table, weights, ident, result
+
+
+def cmd_estimate(args) -> int:
+    if not 0 < args.confidence < 1:
+        raise _input_error("--confidence must lie in (0, 1)")
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    warnings: list[str] = []
+    names, times, curves, n_input = _read_input(args, warnings)
+    table, weights, ident, result = _fit(args, curves, warnings)
 
     try:
         report = confidence_intervals(result, table, weights, args.confidence)
@@ -350,9 +356,9 @@ def cmd_estimate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "estimate",
         "n_curves": J,
-        "n_samples": n,
+        "n_samples": curves.n_samples,
         "n_samples_input": n_input,
-        "period": float(period),
+        "period": float(curves.period),
         "weights": weights.kind,
         "criterion_value": float(result.criterion_value),
         "converged": bool(result.converged),
@@ -474,13 +480,9 @@ def cmd_compare_landmark(args) -> int:
     landmark_config = LandmarkConfig(bandwidth=args.bandwidth)
 
     if args.input:
-        _, _, curves, _ = _read_input(args, [])
-        try:
-            table = transform(curves)
-            weights = _materialize_weights(args.weights, table.max_frequency)
-            result = minimize(CriterionContext(table, weights), config)
-        except ValueError as exc:
-            raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
+        warnings: list[str] = []
+        _, _, curves, _ = _read_input(args, warnings)
+        result = _fit(args, curves, warnings)[3]
         lm, ok = landmark_shifts(curves, landmark_config)
         rows = []
         for j in range(curves.n_curves):

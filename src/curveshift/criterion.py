@@ -167,11 +167,10 @@ def hessian(ctx: CriterionContext, alpha) -> np.ndarray:
     return _hessian(ctx, rephase(ctx.table, full_phases(alpha, ctx.n_curves)).coeffs)
 
 
-def grid_profile(ctx: CriterionContext, grid, coordinate: int = 0, base=None) -> np.ndarray:
-    """Contrast along one free coordinate, vectorized over `grid`.
+def grid_profile(ctx: CriterionContext, grid) -> np.ndarray:
+    """Contrast along alpha_2, vectorized over `grid`, with alpha_3..alpha_J at 0.
 
-    Coordinate c varies alpha_{c+2}; the remaining free phases are held at
-    `base` (zeros by default).  Uses the decomposition
+    Uses the decomposition
 
         M(alpha) = sum_l |delta_l|^2 [ (1/J) sum_j |ct_{jl}|^2 - |cb_l|^2 ],
 
@@ -179,14 +178,10 @@ def grid_profile(ctx: CriterionContext, grid, coordinate: int = 0, base=None) ->
     """
     table = ctx.table
     J = ctx.n_curves
-    if not 0 <= coordinate < J - 1:
-        raise ValueError("coordinate out of range")
     grid = np.asarray(grid, dtype=float)
-    ct = rephase(table, full_phases(np.zeros(J - 1) if base is None else base, J)).coeffs
-    row = coordinate + 1
-    others = ct.sum(axis=0) - ct[row]
-    # The moving curve's row, one copy per grid value, each rephased by it.
-    moving = np.broadcast_to(table.coeffs[row], (grid.size, table.n_samples))
+    others = table.coeffs.sum(axis=0) - table.coeffs[1]
+    # Curve 2's row, one copy per grid value, each rephased by it.
+    moving = np.broadcast_to(table.coeffs[1], (grid.size, table.n_samples))
     cbar = (others + rephase(SpectralTable(moving, table.period), grid).coeffs) / J
     w2 = ctx.weights.values**2
     const_terms = w2 * np.mean(np.abs(table.coeffs) ** 2, axis=0)
@@ -204,7 +199,7 @@ class IdentifiabilityCheck:
     message: str
 
 
-def check_identifiability(ctx: CriterionContext, threshold: float | None = None) -> IdentifiabilityCheck:
+def check_identifiability(ctx: CriterionContext) -> IdentifiabilityCheck:
     """Check that the weighted active frequencies are coprime (their gcd is 1).
 
     Uniqueness of the population contrast minimum needs the active frequency
@@ -212,19 +207,18 @@ def check_identifiability(ctx: CriterionContext, threshold: float | None = None)
     g > 1 the contrast is 2pi/g-periodic in every phase, so the candidate
     shifts are only identified on a sublattice of the circle.  The
     true |c_l| are unknown, so activity is judged from the noisy magnitudes
-    mean_j |d_{jl}| against `threshold` (default 3 sigma_rough / sqrt(n),
-    with sigma_rough read off the top-|l| quarter of the spectrum).  This is
+    mean_j |d_{jl}| against the threshold 3 sigma_rough / sqrt(n), with
+    sigma_rough read off the top-|l| quarter of the spectrum.  This is
     a plausibility check: failure warrants a warning, not an error.
     """
     table = ctx.table
     n = table.n_samples
     ls = table.frequencies
     mags = np.abs(table.coeffs).mean(axis=0)
-    if threshold is None:
-        band = np.abs(ls) >= max(1, int(np.ceil(0.75 * table.max_frequency)))
-        power = np.mean(np.abs(table.coeffs) ** 2, axis=0)
-        sigma2_rough = n * float(np.median(power[band])) if band.any() else 0.0
-        threshold = 3.0 * np.sqrt(sigma2_rough / n)
+    band = np.abs(ls) >= max(1, int(np.ceil(0.75 * table.max_frequency)))
+    power = np.mean(np.abs(table.coeffs) ** 2, axis=0)
+    sigma2_rough = n * float(np.median(power[band])) if band.any() else 0.0
+    threshold = 3.0 * np.sqrt(sigma2_rough / n)
     active_mask = (ls != 0) & (ctx.weights.values > 0) & (mags > threshold)
     active = ls[active_mask]
     if active.size >= 2 and np.gcd.reduce(np.abs(active)) == 1:

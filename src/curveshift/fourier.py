@@ -235,16 +235,23 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
     `alpha` has one entry per curve, in radians, on its last axis.  Its
     leading axes broadcast against the table's: P phase vectors (P, J) rephase
     one (J, 2L+1) table P ways, or a stack of P tables one way each.
-    Rephasing preserves the modulus of every coefficient.  Only l >= 1 takes
-    an exponential: exp(-i l a) is its conjugate bit for bit, because the
-    complex exponential is symmetric in the sign of the angle, and l = 0
-    takes 1.
+    Rephasing preserves the modulus of every coefficient.  Only l >= 1 is
+    computed, as cos and sin of l a; l < 0 takes the conjugates and l = 0
+    takes 1.  The phasors equal np.exp(1j * l * a) bit for bit, except that a
+    zero imaginary part off l = 0 carries the sign of the zero angle l a.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim < 1 or a.shape[-1] != table.n_curves:
         raise ValueError("alpha must have one entry per curve")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    half = np.exp(1j * (a[..., None] * np.arange(1, table.max_frequency + 1)))
-    phases = np.concatenate([np.conj(half[..., ::-1]), np.ones(a.shape + (1,)), half], axis=-1)
+    L = table.max_frequency
+    angles = a[..., None] * np.arange(1, L + 1)
+    phases = np.empty(a.shape + (2 * L + 1,), dtype=complex)
+    half = phases[..., L + 1:]
+    half.real, half.imag = np.cos(angles), np.sin(angles)
+    phases[..., L] = 1.0
+    phases[..., :L] = np.conj(half[..., ::-1])
+    # Named, not a temporary: numpy would multiply a temporary in place with the
+    # operands swapped, and complex products round differently then.
     return SpectralTable(coeffs=table.coeffs * phases, period=table.period)

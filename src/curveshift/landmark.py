@@ -23,8 +23,7 @@ import numpy as np
 from .criterion import wrap_time
 from .fourier import CurveSet
 
-__all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "max_location",
-           "landmark_shifts"]
+__all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "landmark_shifts"]
 
 FLAT_TOLERANCE = 1e-9
 
@@ -74,24 +73,11 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
     return np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(kernel), n) / kernel.sum()
 
 
-def max_location(curve, period: float, config: LandmarkConfig | None = None) -> float:
-    """Refined location of a curve's maximum in [0, period).
-
-    Raises if the maximum is ambiguous: several non-adjacent grid points tie
-    within FLAT_TOLERANCE (a flat curve, or one with several equal peaks).
-    """
-    if np.ndim(curve) != 1:
-        raise ValueError("curve must be a vector with n >= 3")
-    loc, ok = _refined_max(smooth(curve, period, config), period)
-    if not ok:
-        raise ValueError("landmark undefined: curve maximum is not unique within tolerance")
-    return float(loc)
-
-
 def _refined_max(sm: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
     """(locations, ok) of the maxima of already smoothed curves, along the last axis.
 
-    ok is False where the maximum is ambiguous (see `max_location`); the
+    Locations lie in [0, period).  ok is False where non-adjacent grid points
+    tie within FLAT_TOLERANCE (a flat curve, or several equal peaks); the
     location there is meaningless.
     """
     n = sm.shape[-1]
@@ -126,7 +112,7 @@ def landmark_shifts(
     """Per-curve shifts (time units) that bring all maxima onto curve 1's.
 
     Returns (shifts, ok).  ok[j] is False where curve j's maximum is
-    undefined (see `max_location`); shifts[j] is then NaN, and every shift is
+    ambiguous (see `_refined_max`); shifts[j] is then NaN, and every shift is
     NaN when curve 1's is.  Otherwise entry j is the maximum location of
     curve j minus that of curve 1, wrapped to (-T/2, T/2], and entry 0 is
     exactly zero.  A stacked CurveSet (..., J, n) gives (..., J) arrays, each

@@ -22,12 +22,12 @@ values.  Coordinates are wrapped, not clamped: the contrast is exactly
 2pi-periodic in every coordinate, so wrapping preserves values while keeping
 iterates in the principal box.
 
-There is one Newton engine, `_descend`, and it runs P problems at once: the
-starts of one table (`minimize`), or every start of every replicate of a
-study block (`_minimize_tables` on a stacked (R, J, 2L+1) table).  Each
-problem keeps its own step, line search, iteration count and stopping rule,
-so it follows the same path as it would alone; the problems share each
-rephase, value, gradient and Hessian call.
+There is one Newton engine, `_descend`, and it runs P problems at once:
+every start of every table of a stack (R, J, 2L+1), such as a study block;
+`minimize` runs it on a stack of one table.  Each problem keeps its own
+step, line search, iteration count and stopping rule, so it follows the
+same path as it would alone; the problems share each rephase, value,
+gradient, Hessian and Cholesky call.
 """
 
 from __future__ import annotations
@@ -136,15 +136,15 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
 
 
 def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
-    """Start rows (P, J-1) for every table of ctx, and the table index of each row.
+    """Start rows (P, J-1) for every table of ctx's (R, J, 2L+1) stack, and
+    the table index of each row.
 
-    A single (J, 2L+1) table counts as table 0.  Per table the rows are the
-    scan start, then under flagged weights the unweighted n-point lag and the
-    zero vector, with duplicates dropped.  The scan grid is the 8n phases
-    2 pi k/(8n): it holds every sample-grid shift, so noiseless grid shifts
-    are found exactly, and a curve with a zero weighted cross spectrum starts
-    at 0.  Every table's scan runs in one `_correlation_argmax` call, and so
-    does every lag.
+    Per table the rows are the scan start, then under flagged weights the
+    unweighted n-point lag and the zero vector, with duplicates dropped.  The
+    scan grid is the 8n phases 2 pi k/(8n): it holds every sample-grid shift,
+    so noiseless grid shifts are found exactly, and a curve with a zero
+    weighted cross spectrum starts at 0.  Every table's scan runs in one
+    `_correlation_argmax` call, and so does every lag.
     """
     table = ctx.table
     n, dim = table.n_samples, table.n_curves - 1
@@ -168,50 +168,63 @@ TRIANGLE_BLOCK = 64  # rows per diagonal block of a triangular solve
 
 
 def _forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for a lower-triangular L in O(k^2): one dense solve per
-    diagonal block of at most TRIANGLE_BLOCK rows, each followed by a
-    matrix-vector update of the rows below it."""
+    """L^{-1} b for lower-triangular L in O(k^2), over leading stack axes: one
+    dense solve per diagonal block of at most TRIANGLE_BLOCK rows, each
+    followed by a matrix-vector update of the rows below it."""
     y = np.array(b, dtype=float)
-    for lo in range(0, y.size, TRIANGLE_BLOCK):
+    for lo in range(0, y.shape[-1], TRIANGLE_BLOCK):
         hi = lo + TRIANGLE_BLOCK
-        y[lo:hi] = np.linalg.solve(L[lo:hi, lo:hi], y[lo:hi])
-        y[hi:] -= L[hi:, lo:hi] @ y[lo:hi]
+        y[..., lo:hi] = np.linalg.solve(L[..., lo:hi, lo:hi], y[..., lo:hi, None])[..., 0]
+        y[..., hi:] -= (L[..., hi:, lo:hi] @ y[..., lo:hi, None])[..., 0]
     return y
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    """(d, g.d): the Newton step -H^{-1} g when H has a Cholesky factor and the
-    step descends, else steepest descent -g.
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d, g.d) per row of H (P, k, k) and g (P, k): the Newton step -H^{-1} g
+    when H has a Cholesky factor and the step descends, else -g.
 
     The factor is read from H's upper triangle, as LAPACK's dpotrf with
-    uplo='U' reads it: H.T = L L^T with L lower triangular.  The step then
-    takes two triangular solves, L y = g and L^T x = y; the second runs as a
-    forward substitution on L^T with rows and columns reversed, which is
-    lower triangular.
+    uplo='U' reads it: H.T = L L^T, L lower triangular.  One call factors
+    every row, unless some H is not positive definite; then the rows are
+    factored one by one.  The step solves L y = g, then L^T x = y as a
+    forward substitution on L^T with rows and columns reversed.
     """
+    Ht = np.swapaxes(H, -1, -2)
+    newton = np.ones(len(H), dtype=bool)
     try:
-        L = np.linalg.cholesky(H.T)
-    except np.linalg.LinAlgError:  # H is not positive definite
-        return -g, -float(np.dot(g, g))
-    d = -_forward_substitute(L.T[::-1, ::-1], _forward_substitute(L, g)[::-1])[::-1]
-    gd = float(np.dot(g, d))
-    if gd < 0.0:
-        return d, gd
-    return -g, -float(np.dot(g, g))
+        L = np.linalg.cholesky(Ht)
+    except np.linalg.LinAlgError:
+        L = np.empty_like(H)
+        for i, h in enumerate(Ht):
+            try:
+                L[i] = np.linalg.cholesky(h)
+            except np.linalg.LinAlgError:
+                newton[i] = False
+        L = L[newton]
+    d = -g
+    Lt = np.swapaxes(L, -1, -2)[..., ::-1, ::-1]
+    d[newton] = -_forward_substitute(Lt, _forward_substitute(L, g[newton])[..., ::-1])[..., ::-1]
+    # One dot product per row: the line search's Armijo test reads its bits.
+    gd = np.array([float(np.dot(gi, di)) for gi, di in zip(g, d)])
+    steep = ~(newton & (gd < 0.0))
+    d[steep] = -g[steep]
+    gd[steep] = [-float(np.dot(gi, gi)) for gi in g[steep]]
+    return d, gd
 
 
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, keep_trace: bool):
     """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
 
     Row p minimizes the contrast of table p of ctx.table, a (P, J, 2L+1)
-    stack, or of the one table when ctx.table is a single (J, 2L+1) table.
-    Each row keeps its own step, line search, Newton-or-steepest-descent
-    choice, iteration count and stopping rule, so its run is the one it would
-    have alone; the rows share each rephase, value, gradient and Hessian
-    call.  A trial point is accepted when its value is strictly lower and
-    passes the Armijo test; a row that finds none in 80 halvings stops.
-    Returns (x, f, iters, converged, gmax, traces), one entry per row; traces
-    holds each row's accepted values when keep_trace, else it is None.
+    stack.  Each row keeps its own step, line search, Newton-or-steepest-
+    descent choice, iteration count and stopping rule, so its run is the one
+    it would have alone; the rows share each rephase, value, gradient,
+    Hessian and Cholesky call.  A trial point is accepted when its value is
+    strictly lower and passes the Armijo test; a row that finds none in 80
+    halvings stops.
+    Returns (x, f, iters, converged, gmax, traces, ct), one entry per row;
+    traces holds each row's accepted values when keep_trace, else it is
+    None, and ct (P, J, 2L+1) holds each row's table rephased at its x.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
@@ -223,8 +236,7 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
         return a if rows.size == P else a[rows]
 
     def rephased(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        own = coeffs if coeffs.ndim == 2 else take(coeffs, rows)
-        return rephase(SpectralTable(own, period), full_phases(xs, J)).coeffs
+        return rephase(SpectralTable(take(coeffs, rows), period), full_phases(xs, J)).coeffs
 
     # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
     ct = rephased(np.arange(P), x)
@@ -239,10 +251,7 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
         H = _hessian(ctx, take(ct, rows))
         if not np.all(np.isfinite(H)):
             raise ValueError("estimation failed: the Hessian is not finite")
-        d = np.empty((rows.size, J - 1))
-        gd = np.empty(rows.size)
-        for i, p in enumerate(rows):
-            d[i], gd[i] = _newton_direction(H[i], g[p])
+        d, gd = _newton_directions(H, take(g, rows))
         # Keep a single step inside one period of the landscape.
         step = np.minimum(1.0, np.pi / np.maximum(np.max(np.abs(d), axis=-1), 1e-300))
         accepted = np.zeros(rows.size, dtype=bool)
@@ -273,27 +282,25 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
                 traces[p].append(float(f[p]))
         running[done] = (gmax[done] > config.gradient_tolerance) & (iters[done] < config.max_iterations)
     converged = gmax <= config.gradient_tolerance
-    return x, f, iters, converged, gmax, traces
+    return x, f, iters, converged, gmax, traces, ct
 
 
 def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None,
                      keep_trace: bool = False):
     """Minimize the contrast of every table of ctx in one stacked Newton pass.
 
-    ctx.table is one (J, 2L+1) table or a stack (R, J, 2L+1).  Each table's
-    starts (`_starts`) are rows of one `_descend` call, and each table keeps
-    its run with the lowest criterion value; exact ties go to the
-    lexicographically smallest wrapped phase vector.  Returns (x, f, iters,
-    converged, gmax, traces) with one entry per table.
+    ctx.table is a stack (R, J, 2L+1).  Each table's starts (`_starts`) are
+    rows of one `_descend` call, and each table keeps its run with the lowest
+    criterion value; exact ties go to the lexicographically smallest wrapped
+    phase vector.  Returns (x, f, iters, converged, gmax, traces, ct) with
+    one entry per table, ct being each table rephased at its optimum.
     """
     config = config or OptimizerConfig()
     if not np.any(ctx.weights.values > 0):
         raise ValueError("criterion identically zero: every frequency weight vanishes")
     x0, owner = _starts(ctx)
-    table = ctx.table
-    if table.coeffs.ndim > 2 and x0.shape[0] != table.coeffs.shape[0]:
-        table = SpectralTable(table.coeffs[owner], table.period)
-    x, f, iters, converged, gmax, traces = _descend(
+    table = SpectralTable(ctx.table.coeffs[owner], ctx.table.period)
+    x, f, iters, converged, gmax, traces, ct = _descend(
         CriterionContext(table, ctx.weights), x0, config, keep_trace)
     best: dict[int, tuple] = {}
     for p, r in enumerate(owner.tolist()):
@@ -306,7 +313,7 @@ def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = Non
         raise ValueError("estimation failed: no starting point produced a finite criterion value")
     win = np.array([best[r][1] for r in range(len(best))])
     return (x[win], f[win], iters[win], converged[win], gmax[win],
-            [traces[p] for p in win] if keep_trace else None)
+            [traces[p] for p in win] if keep_trace else None, ct[win])
 
 
 def minimize(
@@ -321,9 +328,10 @@ def minimize(
     the iteration budget is reported through the `converged` flag, not an
     exception; only a context whose weights vanish identically (criterion
     identically zero) or whose every run produced a non-finite value is an
-    error.  This is `_minimize_tables` on one table.
+    error.  This is `_minimize_tables` on a stack of one table.
     """
-    x, f, iters, converged, gmax, traces = _minimize_tables(ctx, config, keep_trace)
+    stack = CriterionContext(SpectralTable(ctx.table.coeffs[None], ctx.table.period), ctx.weights)
+    x, f, iters, converged, gmax, traces, _ = _minimize_tables(stack, config, keep_trace)
     alpha = ConstrainedShift(free=x[0])
     theta = alpha.full() * (ctx.table.period / (2.0 * np.pi))
     return EstimationResult(

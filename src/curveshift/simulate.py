@@ -11,10 +11,10 @@ Cephes ndtri: on the central branch it equals scipy's `special.ndtri` bit
 for bit, and in the tails its last bits follow numpy's `log`.
 
 A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
-and processes each block in one pass: one `_ndtri` call, one
-transform, one start scan, one stacked Newton run (`optimize`), one rephase
-for the intervals and one landmark smoothing.  Each replicate gets the
-numbers it would get alone.
+and processes each block in one pass: one `_ndtri` call, one transform, one
+start scan, one stacked Newton run (`optimize`), whose tables rephased at
+the optima also give the intervals, and one landmark smoothing.  Each
+replicate gets the numbers it would get alone.
 
 A study aggregates the shift estimates over replicates: bias, the empirical
 covariance of the sqrt(n)-scaled errors, confidence-interval coverage, and
@@ -298,13 +298,12 @@ def run_study(
         samples, theta_true[b], alpha = _draw(spec, range(R)[b])
         curves = CurveSet(samples=samples, period=T)
         table = transform(curves)
-        x, crit[b], _, converged[b], _, _ = _minimize_tables(CriterionContext(table, spec.weights),
-                                                             config)
+        x, crit[b], _, converged[b], _, _, ct = _minimize_tables(
+            CriterionContext(table, spec.weights), config)
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = x
-        full = full_phases(x, J)
-        theta_hat[b] = full * (T / (2.0 * np.pi))
-        half = interval_half_widths(rephase(table, full).coeffs, spec.weights, spec.confidence)
+        theta_hat[b] = full_phases(x, J) * (T / (2.0 * np.pi))
+        half = interval_half_widths(ct, spec.weights, spec.confidence)
         lower, upper = x - half[:, None], x + half[:, None]
         inferred = ~np.isnan(half)
         covered[b][inferred] = ((lower <= alpha[:, 1:]) & (alpha[:, 1:] <= upper))[inferred]

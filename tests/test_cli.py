@@ -466,6 +466,26 @@ class TestCompareLandmark:
         report = json.loads((out / "report.json").read_text())
         assert report["landmark_failures"] == 1
 
+    @pytest.mark.parametrize("option", [["--weights", "unit"], ["--max-iters", "1"]])
+    def test_input_mode_warns_as_estimate(self, tmp_path, capsys, option):
+        # Both commands run the same fit, so they print the same warnings;
+        # compare-landmark's report gains no field for them.
+        spec = SimulationSpec("sinc15", n_curves=5, n_samples=101, sigma=1.0, replicates=1,
+                              seed=2)
+        src = tmp_path / "in.csv"
+        write_curves(src, generate(spec, 0).curves.samples)
+        argv = ["--input", str(src)] + option
+        assert main(["estimate", "--output-dir", str(tmp_path / "est")] + argv) == 0
+        estimate_err = capsys.readouterr().err
+        assert main(["compare-landmark", "--output-dir", str(tmp_path / "cmp")] + argv) == 0
+        assert capsys.readouterr().err == estimate_err
+        expected = ("warning: unit weights violate" if option[0] == "--weights" else
+                    "warning: optimizer did not reach the gradient tolerance in 1 iterations")
+        assert expected in estimate_err
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert sorted(report) == ["command", "landmark_failures", "mode", "n_curves",
+                                  "rmse_estimator", "rmse_landmark", "schema_version"]
+
     def test_simulation_mode_reports_rmse(self, tmp_path):
         out = tmp_path / "cmp"
         rc = main(["compare-landmark", "--output-dir", str(out), "--curves", "5",

@@ -109,17 +109,26 @@ class TestRephase:
         spread = np.max(np.abs(out.coeffs - out.coeffs[0]))
         assert spread < 1e-12
 
-    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 6)])
     def test_equals_literal_exponentials(self, shape):
-        # Only l >= 1 takes an exponential; the result is still that of
-        # exp(i l a) at every l, bit for bit, for negative, zero and +-pi
-        # phases, one table or a stack.
+        # Only l >= 1 is computed, as cos and sin of l a, and l < 0 takes the
+        # conjugates.  The phasors are those of exp(i l a) bit for bit, for
+        # negative, zero, +-pi and large phases, one table or a stack, up to
+        # the sign of a zero imaginary part: off l = 0 it is the sign of the
+        # zero angle l a, as sin gives it, which 1j * -0.0 does not keep.
         rng = np.random.default_rng(len(shape))
         table = SpectralTable(rng.normal(size=shape + (41,)) + 1j * rng.normal(size=shape + (41,)),
                               T)
         a = rng.uniform(-4.0, 4.0, shape)
-        a.reshape(-1)[:4] = [0.0, -0.0, np.pi, -np.pi]
-        phases = np.exp(1j * (a[..., None] * table.frequencies))
+        a.reshape(-1)[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6]
+        angles = a[..., None] * table.frequencies
+        phases = np.exp(1j * angles)
+        zero = (angles == 0.0) & (table.frequencies != 0)
+        phases.imag[zero] = angles[zero]
+        # Times 1 - 0i, every product term is exact and keeps the phasor's bits.
+        ones = SpectralTable(np.full(table.coeffs.shape, complex(1.0, -0.0)), T)
+        got = rephase(ones, a).coeffs
+        assert np.array_equal(got.view(np.uint64), phases.view(np.uint64))
         expected = table.coeffs * phases
         got = rephase(table, a).coeffs
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -12,6 +12,7 @@ from curveshift import (
     WeightScheme,
     generate,
     minimize,
+    rephase,
     transform,
     wrap_phase,
 )
@@ -44,9 +45,14 @@ def cosine_curves(alphas_full, n=101):
     return CurveSet(samples=np.vstack([np.cos(t - a) for a in alphas_full]), period=T)
 
 
+def stack_of_one(ctx):
+    """The context over ctx's table as a stack (1, J, 2L+1), as the engine takes it."""
+    return CriterionContext(SpectralTable(ctx.table.coeffs[None], T), ctx.weights)
+
+
 def start_rows(ctx):
     """The start rows of `optimize._starts` for one table."""
-    return optimize._starts(ctx)[0]
+    return optimize._starts(stack_of_one(ctx))[0]
 
 
 class TestStarts:
@@ -299,7 +305,7 @@ class TestMinimize:
 
         def descent_value(ctx, x0):
             if x0.tobytes() not in runs:
-                recording(ctx, x0[None], config, False)
+                recording(stack_of_one(ctx), x0[None], config, False)
             return runs[x0.tobytes()]
 
         monkeypatch.setattr(optimize, "_descend", recording)
@@ -339,14 +345,15 @@ def stacked_contexts(pattern, weights, n_curves, n_samples, sigma, replicates, s
 
 def assert_rows_equal(stacked_out, single_outs):
     """`_descend` or `_minimize_tables` rows against one-row runs, to 1e-12."""
-    x, f, iters, converged, gmax, traces = stacked_out
-    for p, (xs, fs, its, cs, gs, ts) in enumerate(single_outs):
+    x, f, iters, converged, gmax, traces, ct = stacked_out
+    for p, (xs, fs, its, cs, gs, ts, cts) in enumerate(single_outs):
         assert np.max(np.abs(x[p] - xs[0])) <= 1e-12, p
         assert abs(f[p] - fs[0]) <= 1e-12, p
         assert iters[p] == its[0] and converged[p] == cs[0], p
         assert abs(gmax[p] - gs[0]) <= 1e-12, p
         if traces is not None:
             assert np.allclose(traces[p], ts[0], rtol=0, atol=1e-12), p
+        assert np.max(np.abs(ct[p] - cts[0])) <= 1e-12, p
 
 
 class TestStackedEngine:
@@ -369,8 +376,9 @@ class TestStackedEngine:
         alone = []
         for ctx in singles:
             res = minimize(ctx, config)
+            ct = rephase(ctx.table, res.alpha_hat.full()).coeffs
             alone.append(([res.alpha_hat.free], [res.criterion_value], [res.iterations],
-                          [res.converged], [res.gradient_max], None))
+                          [res.converged], [res.gradient_max], None, [ct]))
         assert_rows_equal(out, alone)
         x0, owner = optimize._starts(stacked)
         rows_per_table = np.bincount(owner)
@@ -399,7 +407,7 @@ class TestStackedEngine:
         ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
         config = OptimizerConfig(max_iterations=max_iterations)
         out = optimize._descend(ctx, x0, config, True)
-        alone = [optimize._descend(single, x0[p:p + 1], config, True)
+        alone = [optimize._descend(stack_of_one(single), x0[p:p + 1], config, True)
                  for p, single in enumerate(singles)]
         assert_rows_equal(out, alone)
         iters, converged = out[2], out[3]
@@ -415,22 +423,14 @@ class TestStackedEngine:
         assert min(smallest[:6]) > 0.0 and max(smallest[6:]) < 0.0
         config = OptimizerConfig()
         assert_rows_equal(optimize._descend(ctx, x0, config, False),
-                          [optimize._descend(single, x0[p:p + 1], config, False)
+                          [optimize._descend(stack_of_one(single), x0[p:p + 1], config, False)
                            for p, single in enumerate(singles)])
 
-    def test_shared_table_equals_copies(self):
-        # minimize stacks its starts on one (J, 2L+1) table; a study stacks
-        # one copy of the table per start.  Both give the same runs.
-        ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
-        shared = singles[0]
-        copies = CriterionContext(SpectralTable(np.stack([shared.table.coeffs] * len(x0)), T),
-                                  shared.weights)
-        config = OptimizerConfig()
-        out = optimize._descend(shared, x0, config, True)
-        again = optimize._descend(copies, x0, config, True)
-        for a, b in zip(out[:5], again[:5]):
-            assert np.array_equal(a, b)
-        assert out[5] == again[5]
+
+def newton_direction(H, g):
+    """`_newton_directions` on a stack of one."""
+    d, gd = optimize._newton_directions(H[None], g[None])
+    return d[0], gd[0]
 
 
 class TestNewtonDirection:
@@ -445,7 +445,7 @@ class TestNewtonDirection:
         H = A @ A.T / k + 0.1 * np.eye(k)
         H[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
         g = rng.standard_normal(k)
-        d, gd = optimize._newton_direction(H, g)
+        d, gd = newton_direction(H, g)
         expected = -cho_solve(cho_factor(H, lower=False), g)
         assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert gd == float(np.dot(g, d)) and gd < 0.0
@@ -453,8 +453,30 @@ class TestNewtonDirection:
     def test_steepest_descent_without_factor(self):
         g = np.array([1.0, -2.0, 3.0])
         for H in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
-            d, gd = optimize._newton_direction(H, g)
+            d, gd = newton_direction(H, g)
             assert np.array_equal(d, -g) and gd == -14.0
+
+    @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200])
+    def test_stack_equals_rows(self, k):
+        # Positive definite rows, then an indefinite one and a zero gradient
+        # (a Newton step that does not descend).  One indefinite row sends
+        # the stack to the row-by-row factorization; without it, all rows
+        # are factored in one call.  Either way every row gets the direction
+        # it gets alone, bit for bit.
+        rng = np.random.default_rng(k)
+        A = rng.standard_normal((4, k, k))
+        H = A @ np.swapaxes(A, -1, -2) / k + 0.1 * np.eye(k)
+        H[2] = -H[2]
+        g = rng.standard_normal((4, k))
+        g[3] = 0.0
+        for rows in ([0, 1, 2, 3], [0, 1, 3], [0, 1]):
+            d, gd = optimize._newton_directions(H[rows], g[rows])
+            for i, r in enumerate(rows):
+                d1, gd1 = newton_direction(H[r], g[r])
+                assert np.array_equal(d[i], d1) and gd[i] == gd1, (rows, r)
+        d, gd = optimize._newton_directions(H, g)
+        assert np.array_equal(d[2:], -g[2:]) and np.all(gd[:2] < 0.0)
+        assert gd[2] == -float(np.dot(g[2], g[2])) and gd[3] == 0.0
 
 
 class TestOptimizerConfig:

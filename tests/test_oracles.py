@@ -2,8 +2,8 @@
 
 `full_grid_values` is the scan start as it reads in its definition: the
 weighted correlation of each curve with curve 1 at every phase 2 pi k/m, from
-one length-m inverse FFT per curve.  `landmark_loop` locates each curve's
-maximum by its own `max_location` call.  The library's coarse-to-fine scan
+one length-m inverse FFT per curve.  `landmark_loop` smooths and locates
+each curve's maximum on its own.  The library's coarse-to-fine scan
 and its one-FFT-pair landmark must give the same results, and studies run
 through either path must write the same bytes.
 """
@@ -20,7 +20,6 @@ from curveshift import (
     WeightScheme,
     generate,
     landmark_shifts,
-    max_location,
     minimize,
     smooth,
     transform,
@@ -29,6 +28,7 @@ from curveshift import (
 from curveshift import optimize, simulate
 from curveshift.cli import main
 from curveshift.criterion import wrap_time
+from curveshift.landmark import _refined_max
 from curveshift.optimize import _correlation_argmax
 
 T = 2.0 * np.pi
@@ -58,7 +58,7 @@ def full_grid_argmax(table, w2, m):
 
 
 def landmark_loop(curves, config=None):
-    """`landmark_shifts` with one `max_location` call, and so one smoothing, per curve.
+    """`landmark_shifts` with one smoothing and one maximum search per curve.
 
     A stacked CurveSet (R, J, n) is handled one J-curve set at a time.
     """
@@ -69,11 +69,7 @@ def landmark_loop(curves, config=None):
     for samples, shifts, ok in zip(sets, all_shifts, all_ok):
         locs = np.full(curves.n_curves, np.nan)
         for j, row in enumerate(samples):
-            try:
-                locs[j] = max_location(row, period, config)
-                ok[j] = True
-            except ValueError:
-                pass
+            locs[j], ok[j] = _refined_max(smooth(row, period, config), period)
         if ok[0]:
             shifts[ok] = wrap_time(locs[ok] - locs[0], period)
             shifts[0] = 0.0

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import simpson
 from curveshift import (
     PATTERNS,
     CriterionContext,
+    CurveSet,
     OptimizerConfig,
     SimulationSpec,
     WeightScheme,
@@ -17,12 +19,15 @@ from curveshift import (
     inference,
     landmark_shifts,
     minimize,
+    rephase,
     run_study,
     simulate,
     theoretical_gamma,
     transform,
     true_coefficients,
 )
+from curveshift import criterion, fourier, optimize
+from curveshift.criterion import full_phases
 
 T = 2.0 * np.pi
 
@@ -337,3 +342,49 @@ class TestStackedStudy:
                     assert np.array_equal(a, b, equal_nan=True), field.name
                 else:
                     assert a == b or (a != a and b != b), field.name
+
+    @pytest.mark.parametrize("weights", [WeightScheme.power(1.3, 50), WeightScheme.unit(50)],
+                             ids=["power1.3", "unit"])
+    def test_intervals_read_from_the_optimum(self, monkeypatch, weights):
+        # The half-widths come from the tables that the Newton engine holds
+        # at each optimum, and equal those of a fresh rephase at alpha_hat
+        # bit for bit.
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=2.0,
+                              weights=weights, replicates=12, seed=31)
+        halves = []
+
+        def recording(ct, w, level):
+            halves.append(inference.interval_half_widths(ct, w, level))
+            return halves[-1]
+
+        monkeypatch.setattr(simulate, "interval_half_widths", recording)
+        summary = run_study(spec)
+        samples = simulate._draw(spec, range(spec.replicates))[0]
+        table = transform(CurveSet(samples=samples, period=T))
+        ct = rephase(table, full_phases(summary.alpha_hat, spec.n_curves)).coeffs
+        expected = inference.interval_half_widths(ct, weights, spec.confidence)
+        assert len(halves) == 1
+        assert np.array_equal(halves[0].view(np.uint64), expected.view(np.uint64))
+
+    def test_rephases_only_in_the_engine(self, monkeypatch):
+        # Blocks of 4, 4 and 2 replicates.  Each block rephases only inside
+        # its `_minimize_tables` call: the intervals take no rephase of their own.
+        counts = Counter()
+
+        def counting(*args):
+            counts["rephase"] += 1
+            return fourier.rephase(*args)
+
+        for module in (simulate, optimize, criterion, inference):
+            monkeypatch.setattr(module, "rephase", counting)
+        monkeypatch.setattr(simulate, "STUDY_BLOCK", 4 * 4 * 101)
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=1.0,
+                              replicates=10, seed=5)
+        run_study(spec)
+        study = counts["rephase"]
+        counts.clear()
+        for lo in range(0, spec.replicates, 4):
+            samples = simulate._draw(spec, range(lo, min(spec.replicates, lo + 4)))[0]
+            table = transform(CurveSet(samples=samples, period=T))
+            optimize._minimize_tables(CriterionContext(table, spec.weights))
+        assert study == counts["rephase"] > 0
