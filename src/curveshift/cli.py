@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .criterion import CriterionContext, check_identifiability, grid_profile
-from .fourier import CurveSet, WeightScheme, rephase, synthesize, transform
+from .fourier import CurveSet, WeightScheme, synthesize, transform
 from .inference import confidence_intervals
 from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, minimize
@@ -328,20 +328,16 @@ def cmd_estimate(args) -> int:
     alpha_full = result.alpha_hat.full()
     theta_full = result.theta_hat
 
-    shifts_rows = [[1, 0.0, 0.0, 0.0, 0.0, 0.0]]
-    for j in range(1, J):
-        shifts_rows.append([
-            j + 1, theta_full[j], alpha_full[j], report.std_errors[j - 1],
-            report.intervals_alpha[j - 1, 0], report.intervals_alpha[j - 1, 1],
-        ])
+    # Curve 1 is the reference: its shift, error and interval are all zero.
+    columns = np.column_stack([theta_full, alpha_full, np.r_[0.0, report.std_errors],
+                               np.vstack([[0.0, 0.0], report.intervals_alpha])])
     _write_csv(out_dir / "shifts.csv",
                ["j", "theta_hat", "alpha_hat", "std_error", "ci_lower", "ci_upper"],
-               [[str(r[0])] + [_fmt(v) for v in r[1:]] for r in shifts_rows])
+               [[str(j + 1)] + [_fmt(v) for v in row] for j, row in enumerate(columns)])
 
-    aligned = synthesize(rephase(table, alpha_full)).samples
-    for j in range(J):  # shifting by exactly zero is the identity
-        if alpha_full[j] == 0.0:
-            aligned[j] = curves.samples[j]
+    aligned = synthesize(result.aligned).samples
+    unshifted = alpha_full == 0.0  # shifting by exactly zero is the identity
+    aligned[unshifted] = curves.samples[unshifted]
     t_col = [] if times is None else [times]
     t_name = [] if times is None else ["t"]
     _write_array_csv(out_dir / "aligned.csv", t_name + names, np.column_stack(t_col + [aligned.T]))
@@ -472,6 +468,17 @@ def cmd_simulate(args) -> int:
 # compare-landmark
 
 def cmd_compare_landmark(args) -> int:
+    # Options that only the other mode reads have no default here (`build_parser`).
+    unread = ["pattern", "curves", "samples", "sigma", "replicates", "seed", "shifts",
+              "confidence"] if args.input else ["truncate_even"]
+    given = ", ".join(f"--{name.replace('_', '-')}" for name in unread if name in vars(args))
+    if given:
+        raise _input_error(f"compare-landmark {'with' if args.input else 'without'} --input "
+                           f"does not read {given}")
+    # Unset options take the defaults of the command that the mode runs like.
+    like = ["estimate", f"--input={args.input}"] if args.input else ["simulate"]
+    defaults = build_parser().parse_args(like + [f"--output-dir={args.output_dir}"])
+    args = argparse.Namespace(**{**vars(defaults), **vars(args)})
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _optimizer_config(args)
@@ -484,10 +491,8 @@ def cmd_compare_landmark(args) -> int:
         _, _, curves, _ = _read_input(args, warnings)
         result = _fit(args, curves, warnings)[3]
         lm, ok = landmark_shifts(curves, landmark_config)
-        rows = []
-        for j in range(curves.n_curves):
-            rows.append([str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]),
-                         str(int(ok[j]))])
+        rows = [[str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]), str(int(ok[j]))]
+                for j in range(curves.n_curves)]
         _write_csv(out_dir / "comparison.csv",
                    ["curve", "theta_hat_estimator", "theta_hat_landmark", "landmark_ok"],
                    rows)
@@ -544,20 +549,19 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="period T (default: from the t column, else 2*pi)")
     p.add_argument("--weights", default="power:1.3",
                    help="power:<beta> | unit | file:<path> (simulate: comma list)")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=float)
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-8)
 
 
 def _add_simulation(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pattern", default="sinc15", help="sinc15 | cosine | file:<path>")
-    p.add_argument("--curves", type=int, default=10, help="number of curves J")
-    p.add_argument("--samples", type=int, default=101, help="samples per curve n (odd)")
-    p.add_argument("--sigma", default="1", help="noise level(s), comma separated")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shifts", default=None,
-                   help="explicit time-unit shifts, comma separated, first 0")
+    p.add_argument("--pattern", help="sinc15 | cosine | file:<path>")
+    p.add_argument("--curves", type=int, help="number of curves J")
+    p.add_argument("--samples", type=int, help="samples per curve n (odd)")
+    p.add_argument("--sigma", help="noise level(s), comma separated")
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--shifts", help="explicit time-unit shifts, comma separated, first 0")
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -571,14 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate-even", action="store_true",
                    help="drop the last sample when n is even")
     _add_common(p)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, confidence=0.95)
 
     p = sub.add_parser("simulate", help="replicated synthetic studies")
     _add_common(p)
     _add_simulation(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, confidence=0.95, pattern="sinc15", curves=10, samples=101,
+                   sigma="1", replicates=200, seed=0)
 
-    p = sub.add_parser("compare-landmark", help="contrast minimizer vs landmark baseline")
+    # An option that only one mode reads has no default here, so that the
+    # other mode can reject it (`cmd_compare_landmark`).
+    p = sub.add_parser("compare-landmark", help="contrast minimizer vs landmark baseline",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", default=None, help="curve CSV (otherwise simulate)")
     p.add_argument("--truncate-even", action="store_true")
     p.add_argument("--bandwidth", type=float, default=None,

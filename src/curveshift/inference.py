@@ -17,7 +17,9 @@ both are replaced by moment estimators:
     |c_l|^2 + sigma^2/(n J), so that amount is subtracted and the result
     floored at zero.
 
-The plug-in Gamma keeps the exact scalar * (I + U) structure.
+The plug-in Gamma keeps the exact scalar * (I + U) structure.  Both
+estimates read the table that the optimizer rephased at alpha_hat, for one
+table (`confidence_intervals`) or a study's stack (`interval_half_widths`).
 
 The normal quantile z is `_ndtri`, a numpy port of the Cephes routine,
 which `simulate` also uses to turn uniforms into Gaussian noise.
@@ -131,21 +133,6 @@ class CovarianceReport:
     confidence_level: float
 
 
-def _noise_variance(ct: np.ndarray):
-    """sigma2_hat from coefficients rephased at alpha_hat, one per table of a stack."""
-    J, n = ct.shape[-2], ct.shape[-1]
-    resid = ct - ct.mean(axis=-2, keepdims=True)
-    per_l = np.sum(np.abs(resid) ** 2, axis=-2)
-    return n / (J - 1) * per_l.mean(axis=-1)
-
-
-def _debiased_power(ct: np.ndarray, sigma2) -> np.ndarray:
-    """|cb_l|^2 - sigma2/(n J), floored at zero, from coefficients rephased at alpha_hat."""
-    J, n = ct.shape[-2], ct.shape[-1]
-    bias = np.asarray(sigma2)[..., None] / (n * J)
-    return np.maximum(np.abs(ct.mean(axis=-2)) ** 2 - bias, 0.0)
-
-
 def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
     """The scalar of Gamma = scalar (I + U) for each row of |c_l|^2.
 
@@ -163,12 +150,8 @@ def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
     return np.reshape(scalar, np.shape(denom))
 
 
-def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
-    """Gamma matrix for given squared coefficient magnitudes |c_l|^2."""
-    m = np.asarray(magnitudes_sq, dtype=float)
-    if m.shape != weights.values.shape:
-        raise ValueError("magnitude vector does not match the weight range")
-    scalar = float(_gamma_scalar(m, weights))
+def _gamma(scalar: float, n_curves: int) -> np.ndarray:
+    """scalar * (I + U); a NaN scalar means that Gamma cannot be estimated."""
     if np.isnan(scalar):
         raise ValueError(
             "signal energy indistinguishable from noise: no weighted frequency "
@@ -178,18 +161,33 @@ def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.
     return scalar * (np.eye(k) + np.ones((k, k)))
 
 
-def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
-    """Plug-in interval half-widths for a stack of tables rephased at their alpha_hat.
+def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
+    """Gamma matrix for given squared coefficient magnitudes |c_l|^2."""
+    m = np.asarray(magnitudes_sq, dtype=float)
+    if m.shape != weights.values.shape:
+        raise ValueError("magnitude vector does not match the weight range")
+    return _gamma(float(_gamma_scalar(m, weights)), n_curves)
 
-    `ct` is (R, J, 2L+1).  Gamma's diagonal is 2 * scalar for every shift, so
-    one half-width z sqrt(sigma2 gamma_jj / n) serves all J-1 shifts of a
-    table.  Returns (R,) half-widths, NaN where `gamma_from_power` would
-    raise; the values are those of `confidence_intervals`.
+
+def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
+    """(sigma2, Gamma scalar, se, z) per table of coefficients rephased at alpha_hat.
+
+    Gamma's diagonal is 2 * scalar, so one standard error sqrt(sigma2 gamma_jj / n)
+    serves every shift of a table; scalar and se are NaN where Gamma is not estimable.
     """
-    sigma2 = _noise_variance(ct)
-    scalar = _gamma_scalar(_debiased_power(ct, sigma2), weights)
-    z = _ndtri(0.5 * (1.0 + level))
-    return z * np.sqrt(sigma2 * (scalar * 2.0) / ct.shape[-1])
+    J, n = ct.shape[-2], ct.shape[-1]
+    mean = ct.mean(axis=-2, keepdims=True)
+    sigma2 = n / (J - 1) * np.sum(np.abs(ct - mean) ** 2, axis=-2).mean(axis=-1)
+    power = np.maximum(np.abs(mean[..., 0, :]) ** 2 - np.asarray(sigma2)[..., None] / (n * J), 0.0)
+    scalar = _gamma_scalar(power, weights)
+    return sigma2, scalar, np.sqrt(sigma2 * (scalar * 2.0) / n), _ndtri(0.5 * (1.0 + level))
+
+
+def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
+    """(R,) half-widths z se of the intervals of `confidence_intervals`, for a
+    stack (R, J, 2L+1) of tables rephased at their alpha_hat; NaN where it raises."""
+    _, _, se, z = _plug_in(ct, weights, level)
+    return z * se
 
 
 def confidence_intervals(
@@ -200,9 +198,11 @@ def confidence_intervals(
 ) -> CovarianceReport:
     """Per-shift normal confidence intervals at the given level.
 
-    Interval half-widths are z_{(1+level)/2} sqrt(sigma2 gamma_jj / n); time
-    unit intervals rescale by T / 2 pi.  One rephase at alpha_hat serves both
-    the sigma2 and the Gamma estimate.
+    `result` is an `EstimationResult` of `table`, or bare free phases
+    alpha_hat (an array or a `ConstrainedShift`).  Interval half-widths are
+    z_{(1+level)/2} sqrt(sigma2 gamma_jj / n); time unit intervals rescale by
+    T / 2 pi.  Both sigma2 and Gamma come from the table rephased at
+    alpha_hat: a result's `aligned` table, else one rephase of `table`.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("confidence level must lie in (0, 1)")
@@ -211,18 +211,17 @@ def confidence_intervals(
     alpha_hat = getattr(result, "alpha_hat", result)
     if not isinstance(alpha_hat, ConstrainedShift):
         alpha_hat = ConstrainedShift(free=np.asarray(alpha_hat, dtype=float))
-    ct = rephase(table, full_phases(alpha_hat, table.n_curves)).coeffs
-    sigma2 = float(_noise_variance(ct))
-    gamma = gamma_from_power(_debiased_power(ct, sigma2), weights, table.n_curves)
-    n = table.n_samples
-    se = np.sqrt(sigma2 * np.diag(gamma) / n)
-    z = _ndtri(0.5 * (1.0 + level))
+    J = table.n_curves
+    aligned = getattr(result, "aligned", None) or rephase(table, full_phases(alpha_hat, J))
+    sigma2, scalar, se, z = _plug_in(aligned.coeffs, weights, level)
+    gamma = _gamma(float(scalar), J)
+    se = np.full(J - 1, se)
     centers = alpha_hat.free
     ints_alpha = np.column_stack([centers - z * se, centers + z * se])
     scale = table.period / (2.0 * np.pi)
     return CovarianceReport(
         gamma_hat=gamma,
-        sigma2_hat=sigma2,
+        sigma2_hat=float(sigma2),
         std_errors=se,
         intervals_alpha=ints_alpha,
         intervals_theta=ints_alpha * scale,

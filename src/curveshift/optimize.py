@@ -60,13 +60,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """The winning run of `minimize`, with the table the engine rephased at its optimum."""
+
     alpha_hat: ConstrainedShift
     theta_hat: np.ndarray  # (J,) time units, first entry 0
     criterion_value: float
     iterations: int
     converged: bool
     gradient_max: float
-    trace: tuple | None = None  # accepted criterion values, when requested
+    aligned: SpectralTable  # the input table rephased at alpha_hat
 
 
 SCAN_OVERSAMPLING = 8  # scan phases per sample; a whole number keeps grid shifts exact
@@ -212,7 +214,7 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.nda
     return d, gd
 
 
-def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, keep_trace: bool):
+def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig):
     """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
 
     Row p minimizes the contrast of table p of ctx.table, a (P, J, 2L+1)
@@ -222,9 +224,8 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
     Hessian and Cholesky call.  A trial point is accepted when its value is
     strictly lower and passes the Armijo test; a row that finds none in 80
     halvings stops.
-    Returns (x, f, iters, converged, gmax, traces, ct), one entry per row;
-    traces holds each row's accepted values when keep_trace, else it is
-    None, and ct (P, J, 2L+1) holds each row's table rephased at its x.
+    Returns (x, f, iters, converged, gmax, ct), one entry per row; ct
+    (P, J, 2L+1) holds each row's table rephased at its x.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
@@ -244,7 +245,6 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
     g = _gradient(ctx, ct)
     gmax = np.max(np.abs(g), axis=-1)
     iters = np.zeros(P, dtype=int)
-    traces = [[v] for v in f.tolist()] if keep_trace else None
     running = gmax > config.gradient_tolerance
     while running.any():
         rows = np.flatnonzero(running)
@@ -277,31 +277,26 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig, kee
         g[done] = _gradient(ctx, take(ct, done))
         gmax[done] = np.max(np.abs(g[done]), axis=-1)
         iters[done] += 1
-        if keep_trace:
-            for p in done:
-                traces[p].append(float(f[p]))
         running[done] = (gmax[done] > config.gradient_tolerance) & (iters[done] < config.max_iterations)
     converged = gmax <= config.gradient_tolerance
-    return x, f, iters, converged, gmax, traces, ct
+    return x, f, iters, converged, gmax, ct
 
 
-def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None,
-                     keep_trace: bool = False):
+def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None):
     """Minimize the contrast of every table of ctx in one stacked Newton pass.
 
     ctx.table is a stack (R, J, 2L+1).  Each table's starts (`_starts`) are
     rows of one `_descend` call, and each table keeps its run with the lowest
     criterion value; exact ties go to the lexicographically smallest wrapped
-    phase vector.  Returns (x, f, iters, converged, gmax, traces, ct) with
-    one entry per table, ct being each table rephased at its optimum.
+    phase vector.  Returns (x, f, iters, converged, gmax, ct) with one entry
+    per table, ct being each table rephased at its optimum.
     """
     config = config or OptimizerConfig()
     if not np.any(ctx.weights.values > 0):
         raise ValueError("criterion identically zero: every frequency weight vanishes")
     x0, owner = _starts(ctx)
     table = SpectralTable(ctx.table.coeffs[owner], ctx.table.period)
-    x, f, iters, converged, gmax, traces, ct = _descend(
-        CriterionContext(table, ctx.weights), x0, config, keep_trace)
+    x, f, iters, converged, gmax, ct = _descend(CriterionContext(table, ctx.weights), x0, config)
     best: dict[int, tuple] = {}
     for p, r in enumerate(owner.tolist()):
         if not np.isfinite(f[p]):
@@ -312,15 +307,10 @@ def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = Non
     if len(best) <= owner[-1]:
         raise ValueError("estimation failed: no starting point produced a finite criterion value")
     win = np.array([best[r][1] for r in range(len(best))])
-    return (x[win], f[win], iters[win], converged[win], gmax[win],
-            [traces[p] for p in win] if keep_trace else None, ct[win])
+    return x[win], f[win], iters[win], converged[win], gmax[win], ct[win]
 
 
-def minimize(
-    ctx: CriterionContext,
-    config: OptimizerConfig | None = None,
-    keep_trace: bool = False,
-) -> EstimationResult:
+def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> EstimationResult:
     """Estimate the shifts by minimizing the contrast from multiple starts.
 
     Returns the run with the lowest criterion value; exact ties go to the
@@ -328,10 +318,12 @@ def minimize(
     the iteration budget is reported through the `converged` flag, not an
     exception; only a context whose weights vanish identically (criterion
     identically zero) or whose every run produced a non-finite value is an
-    error.  This is `_minimize_tables` on a stack of one table.
+    error.  This is `_minimize_tables` on a stack of one table; the result
+    keeps that run's table rephased at alpha_hat, from which `estimate`
+    takes its intervals and realigned curves.
     """
     stack = CriterionContext(SpectralTable(ctx.table.coeffs[None], ctx.table.period), ctx.weights)
-    x, f, iters, converged, gmax, traces, _ = _minimize_tables(stack, config, keep_trace)
+    x, f, iters, converged, gmax, ct = _minimize_tables(stack, config)
     alpha = ConstrainedShift(free=x[0])
     theta = alpha.full() * (ctx.table.period / (2.0 * np.pi))
     return EstimationResult(
@@ -341,5 +333,5 @@ def minimize(
         iterations=int(iters[0]),
         converged=bool(converged[0]),
         gradient_max=float(gmax[0]),
-        trace=tuple(traces[0]) if keep_trace else None,
+        aligned=SpectralTable(ct[0], ctx.table.period),
     )

@@ -298,7 +298,7 @@ def run_study(
         samples, theta_true[b], alpha = _draw(spec, range(R)[b])
         curves = CurveSet(samples=samples, period=T)
         table = transform(curves)
-        x, crit[b], _, converged[b], _, _, ct = _minimize_tables(
+        x, crit[b], _, converged[b], _, ct = _minimize_tables(
             CriterionContext(table, spec.weights), config)
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = x

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import curveshift
-from curveshift import cli
+from curveshift import cli, fourier, optimize
 from curveshift.cli import main
 from curveshift.simulate import PATTERNS, SimulationSpec, generate
 
@@ -119,6 +119,38 @@ class TestEstimate:
         raw = mean[:, header.index("raw_mean")]
         aligned = mean[:, header.index("aligned_mean")]
         assert aligned.max() > raw.max()
+
+    @pytest.mark.parametrize("weights", ["power:1.3", "unit"])
+    def test_rephases_only_in_the_engine(self, tmp_path, capsys, monkeypatch, weights):
+        # The intervals and aligned.csv read the table that the Newton engine
+        # rephased at alpha_hat, so every rephase of `estimate` runs inside
+        # `optimize._descend`.
+        calls, depth = {"engine": 0, "elsewhere": 0}, []
+        original_rephase, original_descend = fourier.rephase, optimize._descend
+
+        def counting(*args):
+            calls["engine" if depth else "elsewhere"] += 1
+            return original_rephase(*args)
+
+        def descend(*args):
+            depth.append(1)
+            try:
+                return original_descend(*args)
+            finally:
+                depth.pop()
+
+        for name, module in list(sys.modules.items()):  # every binding of rephase
+            if name.startswith("curveshift") and vars(module).get("rephase") is original_rephase:
+                monkeypatch.setattr(module, "rephase", counting)
+        monkeypatch.setattr(optimize, "_descend", descend)
+        spec = SimulationSpec("sinc15", n_curves=5, n_samples=101, sigma=1.0, replicates=1,
+                              seed=2)
+        src = tmp_path / "in.csv"
+        write_curves(src, generate(spec, 0).curves.samples)
+        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o"),
+                     "--weights", weights]) == 0
+        capsys.readouterr()
+        assert calls["elsewhere"] == 0 and calls["engine"] > 0
 
     def test_even_n_rejected_without_flag(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -256,7 +288,9 @@ class TestEstimate:
         write_curves(src, [np.full(101, 5.0), np.full(101, 3.0)])
         rc = main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")])
         assert rc == 4
-        assert "inference" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: inference: signal energy indistinguishable from noise: no weighted "
+            "frequency carries positive estimated pattern power\n")
 
     @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
     def test_bad_confidence_exit_2_before_estimation(self, tmp_path, capsys, level):
@@ -542,6 +576,62 @@ class TestCompareLandmark:
         assert report["rmse_landmark"] is None
         header, rows = read_csv(tmp_path / "cmp" / "comparison.csv")
         assert not rows[:, header.index("landmark_ok")].any()
+
+    @pytest.mark.parametrize("option", ["--pattern=cosine", "--curves=99", "--samples=51",
+                                        "--sigma=nan", "--replicates=-4", "--seed=-3",
+                                        "--shifts=0,1", "--confidence=7", "--truncate-even"])
+    def test_rejects_the_options_its_mode_does_not_read(self, tmp_path, capsys, option):
+        # Every option but --truncate-even is a study option, which the
+        # input mode does not read; the simulation mode reads no file.
+        n = 51
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))])
+        out = tmp_path / "cmp"
+        argv = (["--curves", "2", "--samples", str(n), "--replicates", "2"]
+                if option == "--truncate-even" else ["--input", str(src)])
+        rc = main(["compare-landmark", "--output-dir", str(out), *argv, option])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: compare-landmark")
+        assert option.split("=")[0] in err
+        assert not (out / "comparison.csv").exists()
+
+    def test_input_mode_reads_its_options(self, tmp_path, capsys):
+        n = 52  # even: --truncate-even drops the last sample
+        t = np.arange(n) * T / (n - 1)
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))])
+        out = tmp_path / "cmp"
+        rc = main(["compare-landmark", "--input", str(src), "--output-dir", str(out),
+                   "--weights", "power:2", "--max-iters", "50", "--grad-tol", "1e-9",
+                   "--period", repr(T), "--truncate-even", "--bandwidth", "0.2"])
+        assert rc == 0
+        assert "last sample truncated" in capsys.readouterr().err
+        _, rows = read_csv(out / "comparison.csv")
+        assert rows[1, 1] == pytest.approx(0.5, abs=1e-6)
+        assert rows[1, 2] == pytest.approx(0.5, abs=0.2)
+
+    def test_input_mode_even_n_rejected_without_flag(self, tmp_path, capsys):
+        n = 50
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(t), np.cos(t - 0.3)])
+        rc = main(["compare-landmark", "--input", str(src), "--output-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "--truncate-even" in capsys.readouterr().err
+
+    def test_simulation_mode_defaults_are_simulates(self, tmp_path):
+        # Unset study options take simulate's defaults (sinc15, 10 curves,
+        # 101 samples, sigma 1, seed 0, confidence 0.95).
+        assert main(["simulate", "--output-dir", str(tmp_path / "sim"), "--replicates", "3"]) == 0
+        assert main(["compare-landmark", "--output-dir", str(tmp_path / "cmp"),
+                     "--replicates", "3"]) == 0
+        cell = json.loads((tmp_path / "sim" / "summary.json").read_text())["cells"][0]
+        report = json.loads((tmp_path / "cmp" / "report.json").read_text())
+        assert report["n_curves"] == 10 and report["sigma"] == 1.0
+        assert report["rmse_estimator"] == cell["rmse_estimator"]
+        assert report["rmse_landmark"] == cell["rmse_landmark"]
 
     @pytest.mark.parametrize("option", [["--sigma", "1,2"], ["--sigma", "1,nan"],
                                         ["--weights", "unit,power:2"]])

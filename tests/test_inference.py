@@ -157,14 +157,13 @@ class TestConfidenceIntervals:
                               replicates=12, seed=4)
         z = inference._ndtri(0.5 * (1.0 + level))
         tables = [transform(generate(spec, r).curves) for r in range(spec.replicates)]
+        expected = []
         for table in tables:
             report = confidence_intervals(np.zeros(2), table, spec.weights, level)
             assert np.array_equal(report.intervals_alpha[:, 1], z * report.std_errors)
             assert np.array_equal(report.intervals_alpha[:, 0], -(z * report.std_errors))
+            expected.append(z * report.std_errors[0])
         ct = np.stack([t.coeffs for t in tables])
-        sigma2 = inference._noise_variance(ct)
-        scalar = inference._gamma_scalar(inference._debiased_power(ct, sigma2), spec.weights)
-        expected = z * np.sqrt(sigma2 * (scalar * 2.0) / spec.n_samples)
         assert np.array_equal(interval_half_widths(ct, spec.weights, level), expected)
 
     def test_nominal_value_from_spec_arithmetic(self):
@@ -207,13 +206,17 @@ class TestConfidenceIntervals:
                 confidence_intervals(res, table, WeightScheme.unit(50), level=bad)
 
     def test_one_rephase_serves_both_estimates(self, monkeypatch):
+        # Bare phases take one rephase for both sigma2 and Gamma; a result
+        # brings the table the optimizer rephased at alpha_hat and takes none.
         spec = SimulationSpec(pattern="sinc15", n_curves=6, n_samples=101, sigma=1.0,
                               replicates=1, seed=8)
         table = transform(generate(spec, 0).curves)
         res = minimize(CriterionContext(table, spec.weights))
         ct = rephase(table, res.alpha_hat.full()).coeffs
-        sigma2 = float(inference._noise_variance(ct))
-        gamma = gamma_from_power(inference._debiased_power(ct, sigma2), spec.weights, 6)
+        J, n, mean = 6, 101, ct.mean(axis=0)
+        sigma2 = n / (J - 1) * np.mean(np.sum(np.abs(ct - mean) ** 2, axis=0))
+        gamma = gamma_from_power(np.maximum(np.abs(mean) ** 2 - sigma2 / (n * J), 0.0),
+                                 spec.weights, J)
         calls = []
         original = fourier.rephase
 
@@ -223,10 +226,14 @@ class TestConfidenceIntervals:
 
         for module in (fourier, inference):  # every binding a rephase could go through
             monkeypatch.setattr(module, "rephase", counting)
+        bare = confidence_intervals(res.alpha_hat, table, spec.weights)
+        assert len(calls) == 1
         report = confidence_intervals(res, table, spec.weights)
         assert len(calls) == 1
-        assert report.sigma2_hat == sigma2
-        assert np.array_equal(report.gamma_hat, gamma)
+        for r in (bare, report):
+            assert r.sigma2_hat == sigma2
+            assert np.array_equal(r.gamma_hat, gamma)
+        assert np.array_equal(report.intervals_alpha, bare.intervals_alpha)
 
     def test_stacked_half_widths_equal_single_reports(self):
         # The study's stacked inference gives each table the half width of its

@@ -1,0 +1,115 @@
+"""Print the SHA-256 of every file that a fixed set of CLI runs writes.
+
+Run it from a checkout with that checkout's package on the path:
+
+    PYTHONPATH=src python tools/output_manifest.py > manifest.txt
+
+Run the same copy of this file in two checkouts and diff the two outputs to
+see whether a change keeps every output byte.  The commands run in process,
+through `curveshift.cli.main`, inside a temporary directory, and name every
+file by a relative path, so the output depends on neither location.  The
+inputs are drawn with numpy's `default_rng`, not with curveshift.
+
+The output is one `sha256  path` line per written file, sorted by path, then
+one line per command with its exit code, the SHA-256 of its standard error
+and its arguments.  The hashes depend on numpy's floating-point loops, which
+differ between CPUs, so compare two commits on one machine; no test runs
+this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from curveshift.cli import main
+
+T = 2.0 * np.pi
+WEIGHTS = ("power:1.3", "unit", "power:2")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path: str, header: list[str], columns: np.ndarray) -> None:
+    rows = (",".join(map(repr, row)) for row in columns.tolist())
+    Path(path).write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+
+
+def sinc15_input(path: str, seed: list[int], curves: int, samples: int) -> None:
+    """sinc15 curves shifted by up to pi/4, plus unit white noise, with a t column."""
+    rng = np.random.default_rng(seed)
+    theta = np.concatenate(([0.0], rng.uniform(-np.pi / 4, np.pi / 4, curves - 1)))
+    t = np.arange(samples) * (T / samples)
+    u = np.mod(t[None, :] - theta[:, None] + np.pi, T) - np.pi
+    y = 15.0 * np.sinc(4.0 * u / np.pi) + rng.standard_normal((curves, samples))
+    write_csv(path, ["t"] + [f"y{j + 1}" for j in range(curves)], np.column_stack([t, y.T]))
+
+
+def pattern_input(path: str, samples: int) -> None:
+    """One curve: a random trigonometric polynomial of degree 6."""
+    rng = np.random.default_rng(2)
+    t = np.arange(samples) * (T / samples)
+    ls = np.arange(1, 7)
+    a, b = rng.standard_normal((2, ls.size)) / ls
+    y = np.cos(np.outer(t, ls)) @ a + np.sin(np.outer(t, ls)) @ b
+    write_csv(path, ["f"], y[:, None])
+
+
+def commands() -> list[list[str]]:
+    """Every command, each with its own output directory; writes their inputs."""
+    runs = []
+    for i in range(8):  # cells of the benchmark's study-cosine workload
+        seed = int(np.random.SeedSequence([1, i]).generate_state(1)[0])
+        runs.append(["simulate", "--pattern", "cosine", "--curves", "5", "--samples", "401",
+                     "--sigma", "0.5", "--replicates", "10", "--seed", str(seed)])
+    runs.append(["simulate", "--curves", "2", "--samples", "101",
+                 "--shifts", "0,1.0471975511965976", "--sigma", "1,3,5,7",
+                 "--weights", "unit,power:1.3,power:2", "--replicates", "100", "--seed", "7"])
+    runs.append(["compare-landmark", "--curves", "10", "--samples", "101", "--sigma", "1",
+                 "--replicates", "200", "--seed", "3"])
+    runs.append(["simulate", "--pattern", "sinc15", "--curves", "70", "--samples", "101",
+                 "--weights", "power:1.3,unit", "--replicates", "4", "--seed", "5"])
+    pattern_input("pattern.csv", 101)
+    runs.append(["simulate", "--pattern", "file:pattern.csv", "--curves", "6",
+                 "--samples", "101", "--sigma", "0.5", "--replicates", "20", "--seed", "11"])
+    inputs = [("wide", i, 30, 401) for i in range(9)] + [("tall", i, 4, 20001) for i in range(3)]
+    for name, i, curves, samples in inputs:
+        path = f"{name}-{i}.csv"
+        sinc15_input(path, [3, curves, i], curves, samples)
+        for weights in WEIGHTS:
+            for command in ("estimate", "compare-landmark"):
+                runs.append([command, "--input", path, "--weights", weights])
+    return runs
+
+
+def run() -> list[str]:
+    lines, files = [], []
+    for k, argv in enumerate(commands()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--output-dir", f"out-{k:03d}"])
+        lines.append(f"exit {code}  stderr {sha256(stderr.getvalue().encode())}  "
+                     f"out-{k:03d}  {' '.join(argv)}")
+    for path in sorted(Path(".").rglob("out-*/**/*")):
+        if path.is_file():
+            files.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
+    return files + lines
+
+
+if __name__ == "__main__":
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            output = run()
+        finally:
+            os.chdir(home)
+    print("\n".join(output))
