@@ -168,11 +168,10 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
     if token == "unit":
         return WeightScheme.unit(max_frequency)
     if token.startswith("power:"):
-        try:
-            beta = float(token.split(":", 1)[1])
+        try:  # a number, and one that gives finite weights
+            return WeightScheme.power(float(token.split(":", 1)[1]), max_frequency)
         except ValueError as exc:
             raise _input_error(f"bad weight exponent in {token!r}") from exc
-        return WeightScheme.power(beta, max_frequency)
     if not token.startswith("file:"):
         raise _input_error(f"unknown weight spec {token!r} (use power:<beta>, unit or file:<path>)")
     values = np.zeros(2 * max_frequency + 1)
@@ -345,8 +344,10 @@ def cmd_estimate(args) -> int:
     _write_array_csv(out_dir / "mean.csv", t_name + ["raw_mean", "aligned_mean"],
                      np.column_stack(t_col + [raw_mean, aligned.mean(axis=0)]))
 
-    _write_array_csv(out_dir / "covariance.csv",
-                     [f"alpha_{j + 2}" for j in range(J - 1)], report.gamma_hat)
+    # Gamma-hat is scalar (I + U): every row is written from its two distinct values.
+    diag, off = _fmt(report.gamma_hat[0, 0]), _fmt(report.gamma_hat[-1, 0])
+    _write_lines(out_dir / "covariance.csv", [f"alpha_{j + 2}" for j in range(J - 1)],
+                 ((off + ",") * j + diag + ("," + off) * (J - 2 - j) for j in range(J - 1)))
 
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -10,7 +10,7 @@ the few grid cells that a curvature bound cannot rule out.  Under weights
 flagged by `WeightScheme.fluctuation_warning` (unit, power <= 1.25) the
 contrast is rough enough that the scan start can miss the lowest basin at
 J > 2, so the unweighted n-point phase-correlation lag and the zero vector run
-as well, and the best run wins.
+as well, duplicates included, and the best run wins.
 
 Each run is Newton's method on the exact analytic Hessian, safeguarded as in
 Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
@@ -22,17 +22,17 @@ values.  Coordinates are wrapped, not clamped: the contrast is exactly
 2pi-periodic in every coordinate, so wrapping preserves values while keeping
 iterates in the principal box.
 
-There is one Newton engine, `_descend`, and it runs P problems at once:
-every start of every table of a stack (R, J, 2L+1), such as a study block;
-`minimize` runs it on a stack of one table.  Each problem keeps its own
-step, line search, iteration count and stopping rule, so it follows the
-same path as it would alone; the problems share each rephase, value,
-gradient, Hessian and Cholesky call.
+There is one Newton engine, `_descend`: it runs P problems at once, every
+start of every table of a stack (R, J, 2L+1), and `minimize` runs it on a
+stack of one table.  Each problem keeps its own step, line search, iteration
+count and stop, so its path is the one it would take alone; the problems
+share each rephase, value, gradient, Hessian and Cholesky call.  A `Descent`
+record holds each run's end point, stop reason and work counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,36 @@ class EstimationResult:
     converged: bool
     gradient_max: float
     aligned: SpectralTable  # the input table rephased at alpha_hat
+
+
+# Why a run stopped: `Descent.stop` holds one code per run; RUNNING only inside `_descend`.
+RUNNING, TOLERANCE, NO_LOWER_VALUE, ITERATION_CAP = range(4)
+
+
+@dataclass(frozen=True)
+class Descent:
+    """Per-run results of `_descend`, each field indexed by run first."""
+
+    x: np.ndarray  # (P, J-1) end points, wrapped
+    f: np.ndarray  # (P,) contrast values there
+    iterations: np.ndarray  # (P,) accepted steps
+    gradient_max: np.ndarray  # (P,) max-norm of the gradient at x
+    aligned: np.ndarray  # (P, J, 2L+1) each run's table rephased at x
+    stop: np.ndarray  # (P,) TOLERANCE, NO_LOWER_VALUE or ITERATION_CAP
+    newton: np.ndarray  # (P,) Newton directions taken
+    steepest: np.ndarray  # (P,) -g directions taken
+    rejected: np.ndarray  # (P,) rejected line-search trials
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.stop == TOLERANCE
+
+    @property
+    def rephased(self) -> np.ndarray:  # points rephased: the start, then every trial
+        return 1 + self.iterations + self.rejected
+
+    def take(self, rows: np.ndarray) -> "Descent":
+        return Descent(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 SCAN_OVERSAMPLING = 8  # scan phases per sample; a whole number keeps grid shifts exact
@@ -137,33 +167,22 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     return wrap_phase(2.0 * np.pi * k / m).reshape(stacked)
 
 
-def _starts(ctx: CriterionContext) -> tuple[np.ndarray, np.ndarray]:
-    """Start rows (P, J-1) for every table of ctx's (R, J, 2L+1) stack, and
-    the table index of each row.
+def _starts(ctx: CriterionContext) -> np.ndarray:
+    """Start rows (R, S, J-1) for every table of ctx's (R, J, 2L+1) stack.
 
-    Per table the rows are the scan start, then under flagged weights the
-    unweighted n-point lag and the zero vector, with duplicates dropped.  The
-    scan grid is the 8n phases 2 pi k/(8n): it holds every sample-grid shift,
-    so noiseless grid shifts are found exactly, and a curve with a zero
-    weighted cross spectrum starts at 0.  Every table's scan runs in one
-    `_correlation_argmax` call, and so does every lag.
+    Per table the S rows are the scan start, then under flagged weights the
+    unweighted n-point lag and the zero vector (S = 3, duplicates kept;
+    otherwise S = 1).  The scan grid is the 8n phases 2 pi k/(8n): it holds
+    every sample-grid shift, so noiseless grid shifts are found exactly, and
+    a curve with a zero weighted cross spectrum starts at 0.  Every table's
+    scan runs in one `_correlation_argmax` call, and so does every lag.
     """
     table = ctx.table
-    n, dim = table.n_samples, table.n_curves - 1
-    candidates = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
+    n = table.n_samples
+    starts = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
     if ctx.weights.fluctuation_warning is not None:
-        candidates += [_correlation_argmax(table, np.ones(n), n), np.zeros_like(candidates[0])]
-    candidates = [c.reshape(-1, dim) for c in candidates]
-    rows: list[np.ndarray] = []
-    owner: list[int] = []
-    for r in range(candidates[0].shape[0]):
-        unique: list[np.ndarray] = []
-        for c in candidates:
-            if not any(np.array_equal(c[r], u) for u in unique):
-                unique.append(c[r])
-        rows += unique
-        owner += [r] * len(unique)
-    return np.array(rows), np.array(owner)
+        starts += [_correlation_argmax(table, np.ones(n), n), np.zeros_like(starts[0])]
+    return np.stack(starts, axis=1)
 
 
 TRIANGLE_BLOCK = 64  # rows per diagonal block of a triangular solve
@@ -181,9 +200,10 @@ def _forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d, g.d) per row of H (P, k, k) and g (P, k): the Newton step -H^{-1} g
-    when H has a Cholesky factor and the step descends, else -g.
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, g.d, steep) per row of H (P, k, k) and g (P, k): the Newton step
+    -H^{-1} g when H has a Cholesky factor and the step descends, else -g,
+    which `steep` marks.
 
     The factor is read from H's upper triangle, as LAPACK's dpotrf with
     uplo='U' reads it: H.T = L L^T, L lower triangular.  One call factors
@@ -211,103 +231,102 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.nda
     steep = ~(newton & (gd < 0.0))
     d[steep] = -g[steep]
     gd[steep] = [-float(np.dot(gi, gi)) for gi in g[steep]]
-    return d, gd
+    return d, gd, steep
 
 
-def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig):
+def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> Descent:
     """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
 
     Row p minimizes the contrast of table p of ctx.table, a (P, J, 2L+1)
     stack.  Each row keeps its own step, line search, Newton-or-steepest-
-    descent choice, iteration count and stopping rule, so its run is the one
-    it would have alone; the rows share each rephase, value, gradient,
-    Hessian and Cholesky call.  A trial point is accepted when its value is
-    strictly lower and passes the Armijo test; a row that finds none in 80
-    halvings stops.
-    Returns (x, f, iters, converged, gmax, ct), one entry per row; ct
-    (P, J, 2L+1) holds each row's table rephased at its x.
+    descent choice, iteration count and stop, so its run and work counts are
+    the ones it would have alone; the rows share each rephase, value,
+    gradient, Hessian and Cholesky call.  A trial point is accepted when its
+    value is strictly lower and passes the Armijo test.  A row whose search
+    finds none stops with no lower value: after 80 halvings, or once a
+    rejected trial x + step d rounds to x, as every shorter step would too.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
     P, J = x.shape[0], ctx.n_curves
 
-    def take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        # `rows` is an increasing subset of 0..P-1; indexing by all of them
-        # would only copy.
-        return a if rows.size == P else a[rows]
-
     def rephased(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return rephase(SpectralTable(take(coeffs, rows), period), full_phases(xs, J)).coeffs
+        return rephase(SpectralTable(coeffs[rows], period), full_phases(xs, J)).coeffs
 
     # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
     ct = rephased(np.arange(P), x)
     f = _value(ctx, ct)
-    g = _gradient(ctx, ct)
-    gmax = np.max(np.abs(g), axis=-1)
-    iters = np.zeros(P, dtype=int)
-    running = gmax > config.gradient_tolerance
-    while running.any():
-        rows = np.flatnonzero(running)
-        H = _hessian(ctx, take(ct, rows))
+    g, gmax = np.empty_like(x), np.empty(P)
+    iters, newton, steepest, rejected = np.zeros((4, P), dtype=int)
+    stop = np.full(P, RUNNING)
+    done = np.arange(P)  # runs at a new point: every start, then each accepted step
+    while True:
+        g[done] = _gradient(ctx, ct[done])
+        gmax[done] = np.max(np.abs(g[done]), axis=-1)
+        # The last rule that holds wins: tolerance, NaN gradient (no lower value), cap.
+        stop[done[iters[done] >= config.max_iterations]] = ITERATION_CAP
+        stop[done[np.isnan(gmax[done])]] = NO_LOWER_VALUE
+        stop[done[gmax[done] <= config.gradient_tolerance]] = TOLERANCE
+        rows = np.flatnonzero(stop == RUNNING)
+        if not rows.size:
+            return Descent(x, f, iters, gmax, ct, stop, newton, steepest, rejected)
+        H = _hessian(ctx, ct[rows])
         if not np.all(np.isfinite(H)):
             raise ValueError("estimation failed: the Hessian is not finite")
-        d, gd = _newton_directions(H, take(g, rows))
+        d, gd, steep = _newton_directions(H, g[rows])
+        newton[rows] += ~steep
+        steepest[rows] += steep
         # Keep a single step inside one period of the landscape.
         step = np.minimum(1.0, np.pi / np.maximum(np.max(np.abs(d), axis=-1), 1e-300))
         accepted = np.zeros(rows.size, dtype=bool)
         search = np.arange(rows.size)  # positions in `rows` still backtracking
         for _ in range(80):
             s = rows[search]
-            x_try = wrap_phase(x[s] + step[search, None] * d[search])
+            moved = x[s] + step[search, None] * d[search]
+            x_try = wrap_phase(moved)
             ct_try = rephased(s, x_try)
             f_try = _value(ctx, ct_try)
-            ok = (np.isfinite(f_try) & (f_try < f[s])
+            lower = f_try < f[s]
+            ok = (np.isfinite(f_try) & lower
                   & (f_try <= f[s] + SUFFICIENT_DECREASE * step[search] * gd[search]))
-            if ok.all() and s.size == P:  # every row moves: no copy
-                x, f, ct = x_try, f_try, ct_try
-            else:
-                x[s[ok]], f[s[ok]], ct[s[ok]] = x_try[ok], f_try[ok], ct_try[ok]
+            stuck = ~lower & np.all(moved == x[s], axis=-1)
+            x[s[ok]], f[s[ok]], ct[s[ok]] = x_try[ok], f_try[ok], ct_try[ok]
             accepted[search[ok]] = True
-            search = search[~ok]
+            rejected[s[~ok]] += 1
+            search = search[~ok & ~stuck]
             if not search.size:
                 break
             step[search] *= CONTRACTION
-        running[rows[search]] = False  # no further decrease representable
+        stop[rows[~accepted]] = NO_LOWER_VALUE
         done = rows[accepted]
-        g[done] = _gradient(ctx, take(ct, done))
-        gmax[done] = np.max(np.abs(g[done]), axis=-1)
         iters[done] += 1
-        running[done] = (gmax[done] > config.gradient_tolerance) & (iters[done] < config.max_iterations)
-    converged = gmax <= config.gradient_tolerance
-    return x, f, iters, converged, gmax, ct
 
 
-def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None):
+def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Descent:
     """Minimize the contrast of every table of ctx in one stacked Newton pass.
 
-    ctx.table is a stack (R, J, 2L+1).  Each table's starts (`_starts`) are
-    rows of one `_descend` call, and each table keeps its run with the lowest
-    criterion value; exact ties go to the lexicographically smallest wrapped
-    phase vector.  Returns (x, f, iters, converged, gmax, ct) with one entry
-    per table, ct being each table rephased at its optimum.
+    ctx.table is a stack (R, J, 2L+1).  Each table's S starts (`_starts`)
+    are rows of one `_descend` call, and each table keeps its run with the
+    lowest criterion value; exact ties go to the lexicographically smallest
+    wrapped phase vector, then to the earlier start.  Runs with a value that
+    is not finite never win.  Returns the winners' `Descent`, one run per
+    table, whose `aligned` holds each table rephased at its optimum.
     """
     config = config or OptimizerConfig()
     if not np.any(ctx.weights.values > 0):
         raise ValueError("criterion identically zero: every frequency weight vanishes")
-    x0, owner = _starts(ctx)
+    x0 = _starts(ctx)
+    R, S, _ = x0.shape
+    owner = np.repeat(np.arange(R), S)
     table = SpectralTable(ctx.table.coeffs[owner], ctx.table.period)
-    x, f, iters, converged, gmax, ct = _descend(CriterionContext(table, ctx.weights), x0, config)
-    best: dict[int, tuple] = {}
-    for p, r in enumerate(owner.tolist()):
-        if not np.isfinite(f[p]):
-            continue
-        key = (f[p], tuple(x[p]))
-        if r not in best or key < best[r][0]:
-            best[r] = (key, p)
-    if len(best) <= owner[-1]:
+    runs = _descend(CriterionContext(table, ctx.weights), x0.reshape(R * S, -1), config)
+    # lexsort's last key sorts first and its sort is stable: by table, finite
+    # values first, then f, then x coordinate by coordinate, then start order.
+    finite = np.isfinite(runs.f)
+    win = np.lexsort((*runs.x.T[::-1], runs.f, ~finite, owner))[::S]
+    if not finite[win].all():
         raise ValueError("estimation failed: no starting point produced a finite criterion value")
-    win = np.array([best[r][1] for r in range(len(best))])
-    return x[win], f[win], iters[win], converged[win], gmax[win], ct[win]
+    return runs.take(win)
 
 
 def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> EstimationResult:
@@ -323,15 +342,15 @@ def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Es
     takes its intervals and realigned curves.
     """
     stack = CriterionContext(SpectralTable(ctx.table.coeffs[None], ctx.table.period), ctx.weights)
-    x, f, iters, converged, gmax, ct = _minimize_tables(stack, config)
-    alpha = ConstrainedShift(free=x[0])
+    run = _minimize_tables(stack, config)
+    alpha = ConstrainedShift(free=run.x[0])
     theta = alpha.full() * (ctx.table.period / (2.0 * np.pi))
     return EstimationResult(
         alpha_hat=alpha,
         theta_hat=theta,
-        criterion_value=float(f[0]),
-        iterations=int(iters[0]),
-        converged=bool(converged[0]),
-        gradient_max=float(gmax[0]),
-        aligned=SpectralTable(ct[0], ctx.table.period),
+        criterion_value=float(run.f[0]),
+        iterations=int(run.iterations[0]),
+        converged=bool(run.converged[0]),
+        gradient_max=float(run.gradient_max[0]),
+        aligned=SpectralTable(run.aligned[0], ctx.table.period),
     )

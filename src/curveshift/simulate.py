@@ -298,13 +298,13 @@ def run_study(
         samples, theta_true[b], alpha = _draw(spec, range(R)[b])
         curves = CurveSet(samples=samples, period=T)
         table = transform(curves)
-        x, crit[b], _, converged[b], _, ct = _minimize_tables(
-            CriterionContext(table, spec.weights), config)
+        run = _minimize_tables(CriterionContext(table, spec.weights), config)
+        crit[b], converged[b] = run.f, run.converged
         alpha_true[b] = alpha[:, 1:]
-        alpha_hat[b] = x
-        theta_hat[b] = full_phases(x, J) * (T / (2.0 * np.pi))
-        half = interval_half_widths(ct, spec.weights, spec.confidence)
-        lower, upper = x - half[:, None], x + half[:, None]
+        alpha_hat[b] = run.x
+        theta_hat[b] = full_phases(run.x, J) * (T / (2.0 * np.pi))
+        half = interval_half_widths(run.aligned, spec.weights, spec.confidence)
+        lower, upper = run.x - half[:, None], run.x + half[:, None]
         inferred = ~np.isnan(half)
         covered[b][inferred] = ((lower <= alpha[:, 1:]) & (alpha[:, 1:] <= upper))[inferred]
         theta_lm[b], landmark_ok[b] = landmark_shifts(curves, landmark_config)

@@ -89,6 +89,24 @@ class TestEstimate:
         for name in ("shifts.csv", "aligned.csv", "mean.csv", "covariance.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("n_curves", [2, 4])
+    def test_covariance_csv_is_gamma_hat(self, tmp_path, n_curves):
+        # Gamma-hat is scalar (I + U), 1 x 1 at J = 2; every entry is written
+        # as repr writes it.
+        spec = SimulationSpec(pattern="sinc15", n_curves=n_curves, n_samples=101, sigma=1.0,
+                              replicates=1, seed=2)
+        curves = generate(spec, 0).curves
+        src = tmp_path / "in.csv"
+        write_curves(src, list(curves.samples))
+        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 0
+        table = curveshift.transform(curves)
+        weights = curveshift.WeightScheme.power(1.3, table.max_frequency)
+        result = curveshift.minimize(curveshift.CriterionContext(table, weights))
+        gamma = curveshift.confidence_intervals(result, table, weights).gamma_hat
+        expected = [",".join(f"alpha_{j + 2}" for j in range(n_curves - 1))]
+        expected += [",".join(map(repr, row)) for row in gamma.tolist()]
+        assert (tmp_path / "o" / "covariance.csv").read_text() == "\n".join(expected) + "\n"
+
     def test_aligned_curves_match_reference_for_continuous_shifts(self, tmp_path):
         # Band-limited curves with off-grid shifts: spectral realignment must
         # reproduce the reference curve, not its nearest-grid roll.
@@ -416,6 +434,19 @@ class TestSimulate:
         assert rc == 2
         assert "input: sigma must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "--input", "in.csv"], ["compare-landmark", "--input", "in.csv"],
+        ["simulate", "--replicates", "2", "--samples", "51", "--curves", "2"],
+        ["compare-landmark", "--replicates", "2", "--samples", "51", "--curves", "2"],
+    ], ids=["estimate", "compare-landmark-input", "simulate", "compare-landmark"])
+    @pytest.mark.parametrize("token", ["power:nan", "power:-inf"])
+    def test_non_finite_power_weight_exit_2(self, tmp_path, capsys, command, token):
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
+        argv = [str(src) if arg == "in.csv" else arg for arg in command]
+        assert main(argv + ["--output-dir", str(tmp_path / "o"), "--weights", token]) == 2
+        assert f"input: bad weight exponent in {token!r}" in capsys.readouterr().err
 
     def test_every_cell_checked_before_the_first_study(self, tmp_path, capsys):
         out = tmp_path / "s"

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -72,12 +73,12 @@ class TestStarts:
         assert np.max(np.abs(wrap_phase(cand - rep.alpha[1:]))) < 1e-12
 
     def test_degenerate_spectrum_gives_only_zero(self):
+        # Flagged weights: scan, lag and zero starts, all zero and all kept.
         coeffs = np.zeros((2, 11), dtype=complex)
         coeffs[:, 5] = 3.0  # only l = 0 carries energy
         ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), WeightScheme.unit(5))
-        starts = start_rows(ctx)
-        assert len(starts) == 1
-        assert np.array_equal(starts[0], np.zeros(1))
+        assert np.array_equal(start_rows(ctx), np.zeros((3, 1)))
+        assert np.array_equal(minimize(ctx).alpha_hat.free, np.zeros(1))
 
     def test_noisy_sinc_candidate_rate(self):
         spec = SimulationSpec(
@@ -320,7 +321,7 @@ class TestMinimize:
 
         def recording(ctx, x0, *args):
             out = original(ctx, x0, *args)
-            runs.update((np.asarray(row).tobytes(), f) for row, f in zip(x0, out[1]))
+            runs.update((np.asarray(row).tobytes(), f) for row, f in zip(x0, out.f))
             return out
 
         def descent_value(ctx, x0):
@@ -363,15 +364,19 @@ def stacked_contexts(pattern, weights, n_curves, n_samples, sigma, replicates, s
     return CriterionContext(stacked, weights), [CriterionContext(t, weights) for t in tables]
 
 
-def assert_rows_equal(stacked_out, single_outs):
-    """`_descend` or `_minimize_tables` rows against one-row runs, to 1e-12."""
-    x, f, iters, converged, gmax, ct = stacked_out
-    for p, (xs, fs, its, cs, gs, cts) in enumerate(single_outs):
-        assert np.max(np.abs(x[p] - xs[0])) <= 1e-12, p
-        assert abs(f[p] - fs[0]) <= 1e-12, p
-        assert iters[p] == its[0] and converged[p] == cs[0], p
-        assert abs(gmax[p] - gs[0]) <= 1e-12, p
-        assert np.max(np.abs(ct[p] - cts[0])) <= 1e-12, p
+def assert_rows_equal(stacked, singles):
+    """Every field of a `_descend` or `_minimize_tables` record against one-run
+    records: floats to 1e-12, stop reasons and work counts exactly."""
+    for p, alone in enumerate(singles):
+        for field in dataclasses.fields(optimize.Descent):
+            a, b = getattr(stacked, field.name)[p], getattr(alone, field.name)[0]
+            if a.dtype.kind == "i":
+                assert np.array_equal(a, b), (p, field.name)
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12, (p, field.name)
+    # Every stacked-engine case runs at the default gradient tolerance.
+    tol = OptimizerConfig().gradient_tolerance
+    assert np.array_equal(stacked.converged, stacked.gradient_max <= tol)
 
 
 class TestStackedEngine:
@@ -391,21 +396,16 @@ class TestStackedEngine:
         config = (OptimizerConfig() if max_iterations is None
                   else OptimizerConfig(max_iterations=max_iterations))
         out = optimize._minimize_tables(stacked, config)
-        alone = []
-        for ctx in singles:
-            res = minimize(ctx, config)
-            ct = rephase(ctx.table, res.alpha_hat.full()).coeffs
-            alone.append(([res.alpha_hat.free], [res.criterion_value], [res.iterations],
-                          [res.converged], [res.gradient_max], [ct]))
+        alone = [optimize._minimize_tables(stack_of_one(ctx), config) for ctx in singles]
         assert_rows_equal(out, alone)
-        x0, owner = optimize._starts(stacked)
-        rows_per_table = np.bincount(owner)
-        assert rows_per_table.sum() == x0.shape[0]
-        if weights == "power:1.3":
-            assert np.all(rows_per_table == 1)
-        else:  # scan, lag and zero starts, duplicates dropped
-            assert np.all(rows_per_table >= 1)
-            assert rows_per_table.max() == 3
+        for ctx, run in zip(singles, alone):  # `minimize` reads the stack-of-one record
+            res = minimize(ctx, config)
+            assert (res.alpha_hat.free.tolist(), res.criterion_value, res.iterations,
+                    res.converged, res.gradient_max) == (run.x[0].tolist(), run.f[0],
+                    run.iterations[0], run.converged[0], run.gradient_max[0])
+        # Scan, then under flagged weights lag and zero starts, for every table.
+        assert optimize._starts(stacked).shape == (8, 1 if weights == "power:1.3" else 3,
+                                                   n_curves - 1)
 
     def stack_with_slow_and_indefinite_rows(self):
         # Scan starts of six sinc15 tables converge in 2 iterations from a
@@ -414,9 +414,8 @@ class TestStackedEngine:
         # (3, 3, -3) takes 10.
         stacked, singles = stacked_contexts("sinc15", WeightScheme.power(1.3, 50), 4, 101, 2.0,
                                             6, 3)
-        x0, owner = optimize._starts(stacked)
-        x0 = np.vstack([x0, np.zeros(3), [3.0, 3.0, -3.0]])
-        owner = np.concatenate([owner, [0, 1]])
+        x0 = np.vstack([optimize._starts(stacked)[:, 0], np.zeros(3), [3.0, 3.0, -3.0]])
+        owner = np.r_[np.arange(6), 0, 1]
         table = SpectralTable(coeffs=stacked.table.coeffs[owner], period=T)
         return CriterionContext(table, stacked.weights), [singles[r] for r in owner], x0
 
@@ -428,12 +427,17 @@ class TestStackedEngine:
         alone = [optimize._descend(stack_of_one(single), x0[p:p + 1], config)
                  for p, single in enumerate(singles)]
         assert_rows_equal(out, alone)
-        iters, converged = out[2], out[3]
-        assert np.all(converged[:6]) and np.all(iters[:6] == 2)
+        iters, stop = out.iterations, out.stop
+        assert np.all(stop[:6] == optimize.TOLERANCE) and np.all(iters[:6] == 2)
         if max_iterations == 3:
-            assert np.array_equal(iters[6:], [3, 3]) and not np.any(converged[6:])
+            assert np.array_equal(iters[6:], [3, 3])
+            assert np.all(stop[6:] == optimize.ITERATION_CAP)
         else:
-            assert np.array_equal(iters[6:], [4, 10]) and np.all(converged[6:])
+            assert np.array_equal(iters[6:], [4, 10]) and np.all(stop[6:] == optimize.TOLERANCE)
+        # No search fails, so each direction gives one accepted step; the zero
+        # start's indefinite Hessian gives at least one -g direction.
+        assert np.array_equal(out.newton + out.steepest - iters, np.zeros(8))
+        assert out.steepest[6] > 0 and np.all(out.steepest[:6] == 0)
 
     def test_indefinite_start_hessian_beside_definite_ones(self):
         ctx, singles, x0 = self.stack_with_slow_and_indefinite_rows()
@@ -445,10 +449,82 @@ class TestStackedEngine:
                            for p, single in enumerate(singles)])
 
 
+def two_curve_unit_weight_case():
+    """sinc15, J = 2, n = 101, sigma 7, shifts [0, pi/3], seed 7, unit weights:
+    the context as a stack of one, and its three start rows."""
+    spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, sigma=7.0,
+                          shifts=np.array([0.0, np.pi / 3]), weights=WeightScheme.unit(50),
+                          replicates=1, seed=7)
+    ctx = stack_of_one(CriterionContext(transform(generate(spec, 0).curves), spec.weights))
+    return ctx, optimize._starts(ctx)[0]
+
+
+class TestDescent:
+    """The record `_descend` returns: stop reasons, work counts and the winner rule."""
+
+    def test_every_stop_reason_is_reached(self):
+        spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,
+                              replicates=1, seed=2)
+        ctx = stack_of_one(CriterionContext(transform(generate(spec, 0).curves), spec.weights))
+        x0 = optimize._starts(ctx)[0]
+        run = optimize._descend(ctx, x0, OptimizerConfig())
+        assert run.stop[0] == optimize.TOLERANCE and run.converged[0]
+        run = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=1))
+        assert run.stop[0] == optimize.ITERATION_CAP and not run.converged[0]
+        assert run.iterations[0] == 1 and run.gradient_max[0] > 1e-8
+        ctx, x0 = two_curve_unit_weight_case()
+        run = optimize._descend(CriterionContext(SpectralTable(
+            np.repeat(ctx.table.coeffs, 3, axis=0), T), ctx.weights), x0, OptimizerConfig())
+        assert np.array_equal(run.stop, [optimize.TOLERANCE, optimize.TOLERANCE,
+                                         optimize.NO_LOWER_VALUE])
+        assert np.array_equal(run.converged, [True, True, False])
+
+    def test_no_move_stop_keeps_the_run(self):
+        # The zero start's last line search fails.  Run to all 80 halvings
+        # its run ends at this x, f and iteration count, with 80 rejected
+        # trials (numpy's loops round differently on some CPUs, hence the
+        # tolerance).  The search now ends at the first trial point that
+        # rounds to x, so fewer trials are rejected.
+        ctx, x0 = two_curve_unit_weight_case()
+        run = optimize._descend(ctx, x0[2:], OptimizerConfig())
+        assert run.x[0, 0] == pytest.approx(0.025184129852195536, rel=1e-12)
+        assert run.f[0] == pytest.approx(38.08393671456317, rel=1e-12)
+        assert run.iterations[0] == 4 and run.stop[0] == optimize.NO_LOWER_VALUE
+        assert run.rejected[0] < 80 and run.rephased[0] == 1 + 4 + run.rejected[0]
+
+    def fake_winner(self, monkeypatch, f, x):
+        # Two flagged-weight tables of three starts; the descent's record is
+        # replaced by rows with the given values and end points, and each
+        # row's `rejected` count holds its row number.
+        P = len(f)
+        fake = optimize.Descent(
+            x=np.array(x, dtype=float)[:, None], f=np.array(f, dtype=float),
+            iterations=np.zeros(P, dtype=int), gradient_max=np.zeros(P),
+            aligned=np.zeros((P, 2, 3), dtype=complex), stop=np.full(P, optimize.TOLERANCE),
+            newton=np.zeros(P, dtype=int), steepest=np.zeros(P, dtype=int),
+            rejected=np.arange(P))
+        monkeypatch.setattr(optimize, "_descend", lambda ctx, x0, config: fake)
+        coeffs = np.ones((2, 2, 3), dtype=complex)
+        ctx = CriterionContext(SpectralTable(coeffs, T), WeightScheme.unit(1))
+        return optimize._minimize_tables(ctx).rejected
+
+    def test_winner_rule(self, monkeypatch):
+        # Lowest f; an exact tie goes to the smaller x, then to the earlier
+        # start; a value that is not finite never wins, -inf included.
+        nan, inf = float("nan"), float("inf")
+        assert np.array_equal(self.fake_winner(
+            monkeypatch, [2.0, 1.0, 1.0, 1.0, 1.0, 1.0], [0.0, 0.5, -0.5, 0.3, 0.3, 0.3]), [2, 3])
+        assert np.array_equal(self.fake_winner(
+            monkeypatch, [-inf, nan, 5.0, inf, 7.0, nan], [-1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
+            [2, 4])
+        with pytest.raises(ValueError, match="no starting point produced a finite criterion"):
+            self.fake_winner(monkeypatch, [1.0, 1.0, 1.0, nan, inf, -inf], [0.0] * 6)
+
+
 def newton_direction(H, g):
     """`_newton_directions` on a stack of one."""
-    d, gd = optimize._newton_directions(H[None], g[None])
-    return d[0], gd[0]
+    d, gd, steep = optimize._newton_directions(H[None], g[None])
+    return d[0], gd[0], steep[0]
 
 
 class TestNewtonDirection:
@@ -463,16 +539,16 @@ class TestNewtonDirection:
         H = A @ A.T / k + 0.1 * np.eye(k)
         H[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
         g = rng.standard_normal(k)
-        d, gd = newton_direction(H, g)
+        d, gd, steep = newton_direction(H, g)
         expected = -cho_solve(cho_factor(H, lower=False), g)
         assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert gd == float(np.dot(g, d)) and gd < 0.0
+        assert gd == float(np.dot(g, d)) and gd < 0.0 and not steep
 
     def test_steepest_descent_without_factor(self):
         g = np.array([1.0, -2.0, 3.0])
         for H in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
-            d, gd = newton_direction(H, g)
-            assert np.array_equal(d, -g) and gd == -14.0
+            d, gd, steep = newton_direction(H, g)
+            assert np.array_equal(d, -g) and gd == -14.0 and steep
 
     @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200])
     def test_stack_equals_rows(self, k):
@@ -488,11 +564,12 @@ class TestNewtonDirection:
         g = rng.standard_normal((4, k))
         g[3] = 0.0
         for rows in ([0, 1, 2, 3], [0, 1, 3], [0, 1]):
-            d, gd = optimize._newton_directions(H[rows], g[rows])
+            d, gd, steep = optimize._newton_directions(H[rows], g[rows])
             for i, r in enumerate(rows):
-                d1, gd1 = newton_direction(H[r], g[r])
-                assert np.array_equal(d[i], d1) and gd[i] == gd1, (rows, r)
-        d, gd = optimize._newton_directions(H, g)
+                d1, gd1, steep1 = newton_direction(H[r], g[r])
+                assert np.array_equal(d[i], d1) and gd[i] == gd1 and steep[i] == steep1, (rows, r)
+        d, gd, steep = optimize._newton_directions(H, g)
+        assert np.array_equal(steep, [False, False, True, True])
         assert np.array_equal(d[2:], -g[2:]) and np.all(gd[:2] < 0.0)
         assert gd[2] == -float(np.dot(g[2], g[2])) and gd[3] == 0.0
 

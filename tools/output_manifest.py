@@ -12,7 +12,12 @@ inputs are drawn with numpy's `default_rng`, not with curveshift.
 
 The output is one `sha256  path` line per written file, sorted by path, then
 one line per command with its exit code, the SHA-256 of its standard error
-and its arguments.  The hashes depend on numpy's floating-point loops, which
+and its arguments, then one line per command with the Newton engine's work,
+summed over every run of `optimize._descend`: points rephased, Newton and
+-g directions, rejected line-search trials, and the runs that stopped at the
+gradient tolerance, with no lower value and at the iteration cap.  The work
+counts are deterministic, so two commits can be compared on work without
+timing noise.  The hashes depend on numpy's floating-point loops, which
 differ between CPUs, so compare two commits on one machine; no test runs
 this script.
 """
@@ -28,10 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
+from curveshift import optimize
 from curveshift.cli import main
 
 T = 2.0 * np.pi
 WEIGHTS = ("power:1.3", "unit", "power:2")
+COUNTS = ("rephased", "newton", "steepest", "rejected")
+STOPS = {optimize.TOLERANCE: "tolerance", optimize.NO_LOWER_VALUE: "no-lower-value",
+         optimize.ITERATION_CAP: "iteration-cap"}
 
 
 def sha256(data: bytes) -> str:
@@ -91,17 +100,31 @@ def commands() -> list[list[str]]:
 
 
 def run() -> list[str]:
-    lines, files = [], []
+    lines, files, work_lines = [], [], []
+    descend, work = optimize._descend, {}
+
+    def counted(*args):  # `optimize._descend`, adding each call's work to `work`
+        runs = descend(*args)
+        for name in COUNTS:
+            work[name] += int(getattr(runs, name).sum())
+        for stop, name in STOPS.items():
+            work[name] += int(np.sum(runs.stop == stop))
+        return runs
+
+    optimize._descend = counted
     for k, argv in enumerate(commands()):
+        work.update(dict.fromkeys([*COUNTS, *STOPS.values()], 0))
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr):
             code = main(argv + ["--output-dir", f"out-{k:03d}"])
         lines.append(f"exit {code}  stderr {sha256(stderr.getvalue().encode())}  "
                      f"out-{k:03d}  {' '.join(argv)}")
+        work_lines.append("work  " + "  ".join(f"{name} {n}" for name, n in work.items())
+                          + f"  out-{k:03d}")
     for path in sorted(Path(".").rglob("out-*/**/*")):
         if path.is_file():
             files.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
-    return files + lines
+    return files + lines + work_lines
 
 
 if __name__ == "__main__":
