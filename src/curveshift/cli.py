@@ -125,14 +125,19 @@ def _write_line_svg(path: Path, x, y, title: str, xlabel: str, ylabel: str) -> N
 # ---------------------------------------------------------------------------
 # Input parsing.
 
-def _read_curves_csv(path: Path):
-    """Returns (column_names, times_or_None, samples as n x C); names are stripped, unique."""
+def _text_lines(path: Path, what: str) -> list[tuple[int, str]]:
+    """The non-blank lines of a UTF-8 file (a leading BOM skipped), each with its
+    physical line number for error messages; `what` prefixes the path in a read error."""
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise _input_error(f"cannot read {path}: {exc}") from exc
-    # Blank lines are skipped; errors name the physical line.
-    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln != ""]
+        raise _input_error(f"cannot read {what}{path}: {exc}") from exc
+    return [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+
+
+def _read_curves_csv(path: Path):
+    """Returns (column_names, times_or_None, samples as n x C); names are stripped, unique."""
+    lines = _text_lines(path, "")
     if len(lines) < 2:
         raise _input_error(f"{path}: need a header row and at least one data row")
     header = [name.strip() for name in lines[0][1].split(",")]
@@ -176,12 +181,7 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
         raise _input_error(f"unknown weight spec {token!r} (use power:<beta>, unit or file:<path>)")
     values = np.zeros(2 * max_frequency + 1)
     path = Path(token.split(":", 1)[1])
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise _input_error(f"cannot read weight file {path}: {exc}") from exc
-    # Blank lines are skipped; errors name the physical line.
-    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln]
+    lines = _text_lines(path, "weight file ")
     start = 1 if lines and lines[0][1].replace(" ", "") == "l,delta" else 0
     seen = set()
     for i, ln in lines[start:]:
@@ -302,8 +302,6 @@ def _fit(args, curves: CurveSet, warnings: list[str]):
         if not result.converged:
             _warn(warnings, f"optimizer did not reach the gradient tolerance in "
                             f"{result.iterations} iterations")
-    except StageError:
-        raise
     except ValueError as exc:
         raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
     return table, weights, ident, result
@@ -424,9 +422,7 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
         label = spec.weights.kind.replace(":", "")
-        cell = {"sigma": float(sigma), "weight_label": label}
-        cell.update(summary.as_dict())
-        cells.append(cell)
+        cells.append({"weight_label": label, **summary.as_dict()})
         for r in range(spec.replicates):
             for j in range(1, spec.n_curves):
                 replicate_rows.append([

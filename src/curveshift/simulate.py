@@ -105,6 +105,8 @@ class SimulationSpec:
             samples = np.asarray(self.pattern, dtype=float)
             if samples.shape != (self.n_samples,):
                 raise ValueError("custom pattern must supply one sample per grid point")
+            if not np.all(np.isfinite(samples)):
+                raise ValueError("custom pattern samples must be finite")
             object.__setattr__(self, "pattern", samples)
         if self.weights is None:
             object.__setattr__(self, "weights", WeightScheme.power(1.3, self.max_frequency))
@@ -114,6 +116,8 @@ class SimulationSpec:
             shifts = np.asarray(self.shifts, dtype=float)
             if shifts.shape != (self.n_curves,):
                 raise ValueError("explicit shifts must supply one value per curve")
+            if not np.all(np.isfinite(shifts)):
+                raise ValueError("explicit shifts must be finite")
             if shifts[0] != 0.0:
                 raise ValueError("the first curve's shift is pinned to zero")
             object.__setattr__(self, "shifts", shifts)
@@ -280,17 +284,17 @@ def run_study(
     excluded from the affected aggregate, never fatal; non-convergence of the
     minimizer is likewise only counted.  A replicate with any undefined
     landmark is left out of the landmark RMSE, but its located curves keep
-    their landmark shifts.
+    their landmark shifts.  Bias, covariance and coverage read the errors
+    wrapped to the circle, so a truth anywhere on the period scores alike.
     """
     R, J, n, T = spec.replicates, spec.n_curves, spec.n_samples, spec.period
     alpha_true = np.empty((R, J - 1))
     alpha_hat = np.empty((R, J - 1))
     theta_true = np.empty((R, J))
-    theta_hat = np.empty((R, J))
     theta_lm = np.empty((R, J))
     landmark_ok = np.empty((R, J), dtype=bool)
     crit = np.empty(R)
-    covered = np.full((R, J - 1), np.nan)
+    half = np.empty(R)  # interval half-widths, NaN where inference failed
     converged = np.empty(R, dtype=bool)
     block = max(1, STUDY_BLOCK // (J * n))
     for lo in range(0, R, block):
@@ -302,15 +306,12 @@ def run_study(
         crit[b], converged[b] = run.f, run.converged
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = run.x
-        theta_hat[b] = full_phases(run.x, J) * (T / (2.0 * np.pi))
-        half = interval_half_widths(run.aligned, spec.weights, spec.confidence)
-        lower, upper = run.x - half[:, None], run.x + half[:, None]
-        inferred = ~np.isnan(half)
-        covered[b][inferred] = ((lower <= alpha[:, 1:]) & (alpha[:, 1:] <= upper))[inferred]
+        half[b] = interval_half_widths(run.aligned, spec.weights, spec.confidence)
         theta_lm[b], landmark_ok[b] = landmark_shifts(curves, landmark_config)
-    inference_failures = int(np.sum(np.isnan(covered[:, 0])))
-    nonconverged = int(np.sum(~converged))
+    theta_hat = full_phases(alpha_hat, J) * (T / (2.0 * np.pi))
     errors = wrap_phase(alpha_hat - alpha_true)
+    inferred = ~np.isnan(half)
+    coverage = np.mean(np.abs(errors[inferred]) <= half[inferred, None], axis=0)
     scaled = np.sqrt(n) * errors
     covariance = np.atleast_2d(np.cov(scaled, rowvar=False)) if R > 1 else np.zeros((J - 1, J - 1))
     covariance = 0.5 * (covariance + covariance.T)
@@ -318,7 +319,6 @@ def run_study(
     err_lm = wrap_time(theta_lm[valid_lm, 1:] - theta_true[valid_lm, 1:], spec.period)
     rmse_lm = float(np.sqrt(np.mean(err_lm**2))) if valid_lm.any() else float("nan")
     err_theta = wrap_time(theta_hat[:, 1:] - theta_true[:, 1:], spec.period)
-    coverage = np.nanmean(covered, axis=0) if R else np.full(J - 1, np.nan)
     return MonteCarloSummary(
         spec=spec,
         alpha_true=alpha_true,
@@ -331,10 +331,10 @@ def run_study(
         bias=errors.mean(axis=0),
         covariance=covariance,
         theoretical_covariance=spec.sigma**2 * theoretical_gamma(spec),
-        coverage=np.asarray(coverage),
+        coverage=coverage,
         rmse_estimator=float(np.sqrt(np.mean(err_theta**2))),
         rmse_landmark=rmse_lm,
         landmark_failures=int(np.sum(~valid_lm)),
-        inference_failures=inference_failures,
-        nonconverged=nonconverged,
+        inference_failures=int(np.sum(~inferred)),
+        nonconverged=int(np.sum(~converged)),
     )

@@ -435,6 +435,16 @@ class TestSimulate:
         assert "input: sigma must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+    def test_non_finite_shifts_exit_2(self, tmp_path, capsys, command, shift):
+        out = tmp_path / "s"
+        rc = main([command, "--output-dir", str(out), "--replicates", "2", "--samples", "51",
+                   "--curves", "2", f"--shifts=0,{shift}"])
+        assert rc == 2
+        assert "input: explicit shifts must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["estimate", "--input", "in.csv"], ["compare-landmark", "--input", "in.csv"],
         ["simulate", "--replicates", "2", "--samples", "51", "--curves", "2"],

@@ -88,6 +88,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="one sample per grid point"):
             SimulationSpec(pattern=np.ones(7), n_samples=11)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shifts_rejected(self, shift):
+        with pytest.raises(ValueError, match="explicit shifts must be finite"):
+            SimulationSpec(pattern="cosine", n_curves=2, n_samples=11,
+                           shifts=np.array([0.0, shift]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_custom_pattern_rejected(self, value):
+        samples = np.ones(11)
+        samples[3] = value
+        with pytest.raises(ValueError, match="custom pattern samples must be finite"):
+            SimulationSpec(pattern=samples, n_samples=11)
+
 
 class TestGenerate:
     def test_noiseless_zero_shifts_replicates_pattern(self):
@@ -277,6 +290,23 @@ class TestRunStudy:
         grid = np.linspace(-np.pi, np.pi, 629)
         prof = grid_profile(ctx, grid)
         assert abs(grid[np.argmin(prof)] - np.pi / 3) < 0.1
+
+    @staticmethod
+    def _two_curve_coverage(shift, sigma, replicates):
+        spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, sigma=sigma,
+                              shifts=np.array([0.0, shift]), replicates=replicates, seed=3)
+        return run_study(spec).coverage[0]
+
+    def test_coverage_is_scored_on_the_circle(self):
+        # A shift one period on is the same truth, drawn with the same noise.
+        near = self._two_curve_coverage(1.0, 0.5, 40)
+        assert near > 0.9
+        assert self._two_curve_coverage(1.0 + T, 0.5, 40) == near
+
+    def test_coverage_near_half_period_as_near_zero(self):
+        # Estimates of a truth near T/2 wrap to the other end of the circle.
+        assert abs(self._two_curve_coverage(3.12, 2.0, 200)
+                   - self._two_curve_coverage(0.5, 2.0, 200)) <= 0.04
 
     def test_covariance_matrices_symmetric_psd(self):
         spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,

@@ -15,7 +15,9 @@ one line per command with its exit code, the SHA-256 of its standard error
 and its arguments, then one line per command with the Newton engine's work,
 summed over every run of `optimize._descend`: points rephased, Newton and
 -g directions, rejected line-search trials, and the runs that stopped at the
-gradient tolerance, with no lower value and at the iteration cap.  The work
+gradient tolerance, with no lower value and at the iteration cap.  The last
+commands give a truth near T/2, non-finite shifts and malformed or missing
+files, so their exit codes and stderr hashes cover the error paths.  The work
 counts are deterministic, so two commits can be compared on work without
 timing noise.  The hashes depend on numpy's floating-point loops, which
 differ between CPUs, so compare two commits on one machine; no test runs
@@ -96,6 +98,17 @@ def commands() -> list[list[str]]:
         for weights in WEIGHTS:
             for command in ("estimate", "compare-landmark"):
                 runs.append([command, "--input", path, "--weights", weights])
+    runs.append(["simulate", "--curves", "2", "--samples", "101", "--shifts", "0,3.12",
+                 "--sigma", "2", "--replicates", "200", "--seed", "3"])
+    runs.append(["simulate", "--shifts", "0,nan", "--curves", "2", "--replicates", "2"])
+    runs.append(["compare-landmark", "--shifts", "0,inf", "--curves", "2", "--replicates", "2"])
+    Path("bad-cell.csv").write_text("t,y1,y2\n0,1,2\n\n\n1,x,3\n", encoding="utf-8")
+    runs.append(["estimate", "--input", "bad-cell.csv"])
+    Path("twice.csv").write_text("l,delta\n1,1.0\n-1,1.0\n1,0.5\n", encoding="utf-8")
+    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "file:twice.csv"])
+    runs.append(["estimate", "--input", "missing.csv"])
+    runs.append(["simulate", "--pattern", "file:missing.csv", "--replicates", "2"])
+    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "file:missing.csv"])
     return runs
 
 
