@@ -261,9 +261,7 @@ def _read_input(args, warnings: list[str]):
         period = float(n * (times[1] - times[0]))
     else:
         period = 2.0 * np.pi
-    if not (np.isfinite(period) and period > 0):
-        raise _input_error("period must be finite and positive")
-    return names, times, CurveSet(samples=data.T, period=period), n_input
+    return names, times, _checked(CurveSet, samples=data.T, period=period), n_input
 
 
 def _study_cells(args) -> tuple[list[float], list[str]]:
@@ -275,11 +273,17 @@ def _study_cells(args) -> tuple[list[float], list[str]]:
     return sigmas, weight_tokens
 
 
-def _optimizer_config(args) -> OptimizerConfig:
+def _checked(make, **kwargs):
+    """make(**kwargs), with a ValueError reported as malformed input."""
     try:
-        return OptimizerConfig(max_iterations=args.max_iters, gradient_tolerance=args.grad_tol)
+        return make(**kwargs)
     except ValueError as exc:
         raise _input_error(str(exc)) from exc
+
+
+def _optimizer_config(args) -> OptimizerConfig:
+    return _checked(OptimizerConfig, max_iterations=args.max_iters,
+                    gradient_tolerance=args.grad_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +387,9 @@ def _build_spec(args, sigma: float, weight_token: str, n: int) -> SimulationSpec
         shifts = np.asarray(_parse_float_list(args.shifts, "--shifts"))
     pattern = _load_pattern(args.pattern, n)
     period = args.period if args.period is not None else 2.0 * np.pi
-    try:
-        return SimulationSpec(
-            pattern=pattern,
-            n_curves=args.curves,
-            n_samples=n,
-            sigma=sigma,
-            shifts=shifts,
-            weights=weights,
-            replicates=args.replicates,
-            seed=args.seed,
-            period=period,
-            confidence=args.confidence,
-        )
-    except ValueError as exc:
-        raise _input_error(str(exc)) from exc
+    return _checked(SimulationSpec, pattern=pattern, n_curves=args.curves, n_samples=n,
+                    sigma=sigma, shifts=shifts, weights=weights, replicates=args.replicates,
+                    seed=args.seed, period=period, confidence=args.confidence)
 
 
 def cmd_simulate(args) -> int:
@@ -453,7 +445,7 @@ def cmd_simulate(args) -> int:
         "pattern": args.pattern,
         "n_curves": int(args.curves),
         "n_samples": int(n),
-        "period": float(args.period if args.period is not None else 2.0 * np.pi),
+        "period": float(specs[0].period),
         "seed": int(args.seed),
         "cells": cells,
     }
@@ -479,9 +471,7 @@ def cmd_compare_landmark(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _optimizer_config(args)
-    if args.bandwidth is not None and not args.bandwidth > 0:
-        raise _input_error("--bandwidth must be positive")
-    landmark_config = LandmarkConfig(bandwidth=args.bandwidth)
+    landmark_config = _checked(LandmarkConfig, bandwidth=args.bandwidth)
 
     if args.input:
         warnings: list[str] = []

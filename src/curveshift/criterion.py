@@ -83,7 +83,7 @@ class ConstrainedShift:
 
     def full(self) -> np.ndarray:
         """All J phases, with the pinned leading zero."""
-        return np.concatenate(([0.0], self.free))
+        return full_phases(self.free, self.free.size + 1)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.free, dtype=dtype)
@@ -94,10 +94,7 @@ def full_phases(alpha, n_curves: int) -> np.ndarray:
 
     Free phases stacked on leading axes, (..., J-1), give (..., J).
     """
-    if isinstance(alpha, ConstrainedShift):
-        free = alpha.free
-    else:
-        free = np.atleast_1d(np.asarray(alpha, dtype=float))
+    free = np.atleast_1d(np.asarray(alpha, dtype=float))
     if free.shape[-1:] != (n_curves - 1,):
         raise ValueError(
             f"expected {n_curves - 1} free phases for {n_curves} curves, "
@@ -217,7 +214,7 @@ def check_identifiability(ctx: CriterionContext) -> IdentifiabilityCheck:
     mags = np.abs(table.coeffs).mean(axis=0)
     band = np.abs(ls) >= max(1, int(np.ceil(0.75 * table.max_frequency)))
     power = np.mean(np.abs(table.coeffs) ** 2, axis=0)
-    sigma2_rough = n * float(np.median(power[band])) if band.any() else 0.0
+    sigma2_rough = n * float(np.median(power[band]))  # band holds |l| = L >= 1
     threshold = 3.0 * np.sqrt(sigma2_rough / n)
     active_mask = (ls != 0) & (ctx.weights.values > 0) & (mags > threshold)
     active = ls[active_mask]

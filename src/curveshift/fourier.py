@@ -55,8 +55,7 @@ class CurveSet:
             raise ValueError("need at least three samples per curve (n >= 3)")
         if not np.all(np.isfinite(samples)):
             raise ValueError("curve samples must be finite")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        _require_period(self.period)
 
     @property
     def n_curves(self) -> int:
@@ -87,8 +86,7 @@ class SpectralTable:
         object.__setattr__(self, "coeffs", coeffs)
         if coeffs.shape[-1] % 2 == 0:
             raise ValueError("coefficient table must be J x (2L+1)")
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        _require_period(self.period)
 
     @property
     def n_curves(self) -> int:
@@ -180,6 +178,11 @@ class WeightScheme:
         return cls(values=np.asarray(values, dtype=float), kind="custom")
 
 
+def _require_period(period: float) -> None:
+    if not (np.isfinite(period) and period > 0):
+        raise ValueError("period must be finite and positive")
+
+
 def _require_odd(n: int) -> int:
     if n % 2 == 0:
         raise ValueError(
@@ -201,8 +204,7 @@ def forward_dft(samples, period: float) -> np.ndarray:
     _require_odd(x.shape[-1])
     if not np.all(np.isfinite(x)):
         raise ValueError("curve samples must be finite")
-    if not period > 0:
-        raise ValueError("period must be positive")
+    _require_period(period)
     return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import wrap_time
-from .fourier import CurveSet
+from .fourier import CurveSet, _require_period
 
 __all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "landmark_shifts"]
 
@@ -40,13 +40,9 @@ class LandmarkConfig:
     bandwidth: float | None = None
 
     def __post_init__(self):
-        if self.bandwidth is not None and not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
-
-    def resolve_bandwidth(self, n: int, period: float) -> float:
-        if self.bandwidth is not None:
-            return self.bandwidth
-        return default_bandwidth(n, period)
+        h = self.bandwidth
+        if h is not None and not (np.isfinite(h) and h > 0):
+            raise ValueError("bandwidth must be finite and positive")
 
 
 def default_bandwidth(n: int, period: float) -> float:
@@ -64,9 +60,9 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
     y = np.asarray(curve, dtype=float)
     if y.ndim == 0 or y.shape[-1] < 3:
         raise ValueError("curve must have n >= 3 samples on its last axis")
-    config = config or LandmarkConfig()
+    _require_period(period)
     n = y.shape[-1]
-    h = config.resolve_bandwidth(n, period)
+    h = config.bandwidth if config and config.bandwidth else default_bandwidth(n, period)
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
     kernel = np.exp(-0.5 * (dist / h) ** 2)
@@ -100,8 +96,7 @@ def _refined_max(sm: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]
 
 
 def _circular_span(indices: np.ndarray, n: int) -> int:
-    if len(indices) <= 1:
-        return 0
+    """Grid steps spanned by the shortest circular arc through two or more indices."""
     gaps = np.diff(np.concatenate([indices, [indices[0] + n]]))
     return n - int(gaps.max())
 

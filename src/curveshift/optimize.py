@@ -54,8 +54,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not self.gradient_tolerance > 0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not (np.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
+            raise ValueError("gradient_tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)

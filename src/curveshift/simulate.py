@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
-from .fourier import CurveSet, SpectralTable, WeightScheme, forward_dft, inverse_dft, rephase, transform
+from .fourier import (CurveSet, SpectralTable, WeightScheme, _require_period, forward_dft,
+                      inverse_dft, rephase, transform)
 from .inference import _ndtri, gamma_from_power, interval_half_widths
 from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, _minimize_tables
@@ -94,8 +95,7 @@ class SimulationSpec:
             raise ValueError("need at least one replicate")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a nonnegative 64-bit integer")
-        if not (np.isfinite(self.period) and self.period > 0):
-            raise ValueError("period must be finite and positive")
+        _require_period(self.period)
         if not 0 < self.confidence < 1:
             raise ValueError("confidence must lie in (0, 1)")
         if isinstance(self.pattern, str):
@@ -284,8 +284,9 @@ def run_study(
     excluded from the affected aggregate, never fatal; non-convergence of the
     minimizer is likewise only counted.  A replicate with any undefined
     landmark is left out of the landmark RMSE, but its located curves keep
-    their landmark shifts.  Bias, covariance and coverage read the errors
-    wrapped to the circle, so a truth anywhere on the period scores alike.
+    their landmark shifts.  Bias, covariance, coverage and the estimator's
+    RMSE (in time units) read the phase errors wrapped to the circle, so a
+    truth anywhere on the period scores alike.
     """
     R, J, n, T = spec.replicates, spec.n_curves, spec.n_samples, spec.period
     alpha_true = np.empty((R, J - 1))
@@ -318,7 +319,6 @@ def run_study(
     valid_lm = landmark_ok.all(axis=1)
     err_lm = wrap_time(theta_lm[valid_lm, 1:] - theta_true[valid_lm, 1:], spec.period)
     rmse_lm = float(np.sqrt(np.mean(err_lm**2))) if valid_lm.any() else float("nan")
-    err_theta = wrap_time(theta_hat[:, 1:] - theta_true[:, 1:], spec.period)
     return MonteCarloSummary(
         spec=spec,
         alpha_true=alpha_true,
@@ -332,7 +332,7 @@ def run_study(
         covariance=covariance,
         theoretical_covariance=spec.sigma**2 * theoretical_gamma(spec),
         coverage=coverage,
-        rmse_estimator=float(np.sqrt(np.mean(err_theta**2))),
+        rmse_estimator=float(np.sqrt(np.mean((errors * (T / (2.0 * np.pi))) ** 2))),
         rmse_landmark=rmse_lm,
         landmark_failures=int(np.sum(~valid_lm)),
         inference_failures=int(np.sum(~inferred)),

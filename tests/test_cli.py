@@ -205,6 +205,18 @@ class TestEstimate:
         write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
         assert main([command, "--input", str(src), "--period", "-1"] + out) == 2
         assert "input" in capsys.readouterr().err
+        for text, message in (("a,b\n", "need a header row and at least one data row"),
+                              ("t,a,b\n0.0,1.0,2.0\n", "time column too short"),
+                              ("a\n1.0\n2.0\n3.0\n", "need at least two curve columns")):
+            src.write_text(text)
+            assert main([command, "--input", str(src)] + out) == 2
+            assert message in capsys.readouterr().err
+        missing = tmp_path / "missing.csv"
+        assert main([command, "--input", str(missing)] + out) == 2
+        assert f"input: cannot read {missing}" in capsys.readouterr().err
+        write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
+        assert main([command, "--input", str(src), "--period", "inf"] + out) == 2
+        assert "input: period must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
     def test_error_names_the_physical_line(self, tmp_path, capsys, command):
@@ -300,6 +312,11 @@ class TestEstimate:
                    "--weights", f"file:{wfile}"])
         assert rc == 3
         assert "estimation" in capsys.readouterr().err
+        for command in ("simulate", "compare-landmark"):  # a study's weights, all zero
+            rc = main([command, "--output-dir", str(tmp_path / command), "--curves", "2",
+                       "--samples", str(n), "--replicates", "2", "--weights", f"file:{wfile}"])
+            assert rc == 3
+            assert "estimation: criterion identically zero" in capsys.readouterr().err
 
     def test_constant_offset_curves_exit_4(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -418,6 +435,14 @@ class TestSimulate:
             rc = main([command, "--output-dir", str(tmp_path / "s"), "--sigma", ""])
             assert rc == 2
         capsys.readouterr()
+        for option, message in ((["--sigma", "abc"], "--sigma: expected comma-separated"),
+                                (["--max-iters", "0"], "max_iterations must be positive"),
+                                (["--weights", "bogus"], "unknown weight spec 'bogus'"),
+                                (["--pattern", "sawtooth"], "unknown pattern 'sawtooth'")):
+            rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--replicates", "1"]
+                      + option)
+            assert rc == 2
+            assert f"input: {message}" in capsys.readouterr().err
 
     def test_seed_beyond_64_bits_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--replicates", "1",
@@ -434,6 +459,23 @@ class TestSimulate:
         assert rc == 2
         assert "input: sigma must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--input", "in.csv", "--grad-tol", "inf"], "gradient_tolerance"),
+        (["simulate", "--replicates", "2", "--grad-tol", "inf"], "gradient_tolerance"),
+        (["compare-landmark", "--replicates", "2", "--bandwidth", "inf"], "bandwidth"),
+        (["compare-landmark", "--replicates", "2", "--bandwidth", "0"], "bandwidth"),
+    ], ids=["estimate-grad-tol", "simulate-grad-tol", "bandwidth-inf", "bandwidth-0"])
+    def test_tolerance_and_bandwidth_finite_and_positive(self, tmp_path, capsys, argv, message):
+        # An infinite tolerance would stop every run at its start as
+        # converged, and an infinite bandwidth would fail every landmark.
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
+        argv = [str(src) if arg == "in.csv" else arg for arg in argv]
+        out = tmp_path / "o"
+        assert main(argv + ["--output-dir", str(out)]) == 2
+        assert f"input: {message} must be finite and positive" in capsys.readouterr().err
+        assert not any(out.rglob("*.json"))
 
     @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
     @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
@@ -488,7 +530,11 @@ class TestSimulate:
         lines[3] += ",1.0"
         extra_file.write_text("\n".join(lines))
         write_curves(uneven_file, [np.exp(np.cos(t))], names=["f"], times=t * (1.0 + 0.01 * t))
-        for bad in (nan_file, extra_file, uneven_file):
+        # A pattern file holds exactly one curve of the study's sample count.
+        two_file, short_file = tmp_path / "two.csv", tmp_path / "short.csv"
+        write_curves(two_file, [np.exp(np.cos(t)), np.cos(t)], names=["f", "g"])
+        write_curves(short_file, [np.exp(np.cos(t[:-2]))], names=["f"])
+        for bad in (nan_file, extra_file, uneven_file, two_file, short_file):
             rc = main(["simulate", "--output-dir", str(tmp_path / "bad"), "--curves", "3",
                        "--samples", str(n), "--replicates", "1", "--pattern", f"file:{bad}"])
             assert rc == 2

@@ -11,6 +11,7 @@ from curveshift import (
     forward_dft,
     inverse_dft,
     rephase,
+    smooth,
     synthesize,
     transform,
 )
@@ -251,3 +252,16 @@ class TestCurveSet:
     def test_times_grid(self):
         curves = CurveSet(samples=np.zeros((2, 4 + 1)), period=10.0)
         assert np.allclose(curves.times, [0.0, 2.0, 4.0, 6.0, 8.0])
+
+
+@pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda period: CurveSet(samples=np.ones((2, 5)), period=period),
+    lambda period: SpectralTable(coeffs=np.ones((2, 5)), period=period),
+    lambda period: forward_dft(np.ones(5), period),
+    lambda period: smooth(np.ones(5), period),
+], ids=["CurveSet", "SpectralTable", "forward_dft", "smooth"])
+def test_period_must_be_finite_and_positive(make, period):
+    # T = inf would give NaN and infinite shift estimates.
+    with pytest.raises(ValueError, match="period must be finite and positive"):
+        make(period)

@@ -45,6 +45,8 @@ class TestSmooth:
             LandmarkConfig(bandwidth=0.0)
         with pytest.raises(ValueError, match="bandwidth"):
             LandmarkConfig(bandwidth=-1.0)
+        with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+            LandmarkConfig(bandwidth=np.inf)
 
     def test_default_bandwidth_rule(self):
         assert default_bandwidth(101, T) == pytest.approx(T * 101 ** -0.2)

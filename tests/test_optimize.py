@@ -580,3 +580,5 @@ class TestOptimizerConfig:
             OptimizerConfig(max_iterations=0)
         with pytest.raises(ValueError):
             OptimizerConfig(gradient_tolerance=0.0)
+        with pytest.raises(ValueError, match="gradient_tolerance must be finite and positive"):
+            OptimizerConfig(gradient_tolerance=np.inf)

@@ -94,6 +94,19 @@ class TestSpecValidation:
             SimulationSpec(pattern="cosine", n_curves=2, n_samples=11,
                            shifts=np.array([0.0, shift]))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_curves": 1}, "J >= 2"),
+        ({"replicates": 0}, "at least one replicate"),
+        ({"confidence": 0.0}, "confidence must lie in"),
+        ({"confidence": 1.0}, "confidence must lie in"),
+        ({"weights": WeightScheme.unit(4)}, "weight scheme does not match"),
+        ({"n_curves": 3, "shifts": np.array([0.0, 0.5])}, "one value per curve"),
+    ], ids=["one-curve", "no-replicates", "confidence-0", "confidence-1", "weights-size",
+            "shifts-length"])
+    def test_out_of_range_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationSpec(pattern="cosine", **{"n_samples": 11, **kwargs})
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_custom_pattern_rejected(self, value):
         samples = np.ones(11)
@@ -307,6 +320,15 @@ class TestRunStudy:
         # Estimates of a truth near T/2 wrap to the other end of the circle.
         assert abs(self._two_curve_coverage(3.12, 2.0, 200)
                    - self._two_curve_coverage(0.5, 2.0, 200)) <= 0.04
+
+    def test_rmse_reads_the_wrapped_errors_in_time_units(self):
+        # The estimator's RMSE is the wrapped time error over curves 2..J.
+        T3 = 3.0
+        spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=101, sigma=1.0,
+                              replicates=12, seed=9, period=T3)
+        s = run_study(spec)
+        err = criterion.wrap_time(s.theta_hat[:, 1:] - s.theta_true[:, 1:], T3)
+        assert s.rmse_estimator == pytest.approx(np.sqrt(np.mean(err**2)), rel=1e-12, abs=0)
 
     def test_covariance_matrices_symmetric_psd(self):
         spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,

@@ -16,8 +16,10 @@ and its arguments, then one line per command with the Newton engine's work,
 summed over every run of `optimize._descend`: points rephased, Newton and
 -g directions, rejected line-search trials, and the runs that stopped at the
 gradient tolerance, with no lower value and at the iteration cap.  The last
-commands give a truth near T/2, non-finite shifts and malformed or missing
-files, so their exit codes and stderr hashes cover the error paths.  The work
+commands give a truth near T/2, non-finite shifts, malformed or missing
+files, a non-finite or zero bandwidth, gradient tolerance or period, and an
+all-zero weight file, so their exit codes and stderr hashes cover the error
+paths.  The work
 counts are deterministic, so two commits can be compared on work without
 timing noise.  The hashes depend on numpy's floating-point loops, which
 differ between CPUs, so compare two commits on one machine; no test runs
@@ -109,6 +111,12 @@ def commands() -> list[list[str]]:
     runs.append(["estimate", "--input", "missing.csv"])
     runs.append(["simulate", "--pattern", "file:missing.csv", "--replicates", "2"])
     runs.append(["estimate", "--input", "wide-0.csv", "--weights", "file:missing.csv"])
+    runs.append(["compare-landmark", "--bandwidth", "inf"])
+    runs.append(["compare-landmark", "--bandwidth", "0"])
+    runs.append(["simulate", "--grad-tol", "inf"])
+    runs.append(["estimate", "--input", "wide-0.csv", "--period", "inf"])
+    Path("zero.csv").write_text("l,delta\n1,0.0\n-1,0.0\n", encoding="utf-8")
+    runs.append(["simulate", "--weights", "file:zero.csv"])
     return runs
 
 
