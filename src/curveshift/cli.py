@@ -289,7 +289,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 # estimate
 
-def _fit(args, curves: CurveSet, warnings: list[str]):
+def _fit(args, curves: CurveSet, config: OptimizerConfig, warnings: list[str]):
     """(table, weights, identifiability check, result) of the estimator on
     observed curves, with warnings for flagged weights, a failed
     identifiability check and a run that did not converge."""
@@ -302,7 +302,7 @@ def _fit(args, curves: CurveSet, warnings: list[str]):
         ident = check_identifiability(ctx)
         if not ident.ok:
             _warn(warnings, f"identifiability: {ident.message}")
-        result = minimize(ctx, _optimizer_config(args))
+        result = minimize(ctx, config)
         if not result.converged:
             _warn(warnings, f"optimizer did not reach the gradient tolerance in "
                             f"{result.iterations} iterations")
@@ -314,11 +314,12 @@ def _fit(args, curves: CurveSet, warnings: list[str]):
 def cmd_estimate(args) -> int:
     if not 0 < args.confidence < 1:
         raise _input_error("--confidence must lie in (0, 1)")
+    config = _optimizer_config(args)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
     names, times, curves, n_input = _read_input(args, warnings)
-    table, weights, ident, result = _fit(args, curves, warnings)
+    table, weights, ident, result = _fit(args, curves, config, warnings)
 
     try:
         report = confidence_intervals(result, table, weights, args.confidence)
@@ -476,7 +477,7 @@ def cmd_compare_landmark(args) -> int:
     if args.input:
         warnings: list[str] = []
         _, _, curves, _ = _read_input(args, warnings)
-        result = _fit(args, curves, warnings)[3]
+        result = _fit(args, curves, config, warnings)[3]
         lm, ok = landmark_shifts(curves, landmark_config)
         rows = [[str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]), str(int(ok[j]))]
                 for j in range(curves.n_curves)]

@@ -17,15 +17,16 @@ Closed forms for the derivatives, used by the optimizer and for inference:
     d2M/dal_k dal_m  = -(2/J^2) sum_l |delta_l|^2 l^2 Re( ct_{kl} conj(ct_{ml}) )
 
 for k, m in 2..J.  All three are computed from the rephased coefficients
-ct = `fourier.rephase`(table, phases), the only rephasing in the package, and
-sum over l in the table's own order -L..L.  The public functions take the
+ct = `fourier.rephase`(table, phases), the only rephasing in the package.
+The curves are real and delta_0 = 0, so each sum over l = -L..L is twice its
+sum over the table's own columns l = 0..L.  The public functions take the
 phases; the optimizer rephases once per point it tries and reuses that ct
 for the gradient and Hessian once the point is accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,12 +110,14 @@ class CriterionContext:
 
     table: SpectralTable
     weights: WeightScheme
+    w2: np.ndarray = field(init=False, repr=False, compare=False)  # |delta_l|^2, l = 0..L
 
     def __post_init__(self):
         if self.weights.values.size != self.table.n_samples:
             raise ValueError(
                 "weight vector length does not match the table frequency range"
             )
+        object.__setattr__(self, "w2", self.weights.half_squared)
 
     @property
     def n_curves(self) -> int:
@@ -123,30 +126,28 @@ class CriterionContext:
 
 # The formulas on the rephased coefficients ct = rephase(table, phases), for a
 # caller (the optimizer) that reuses one ct for value, gradient and Hessian.
-# Each acts on the last two axes, so a stack (P, J, 2L+1) of rephased tables
+# Each acts on the last two axes, so a stack (P, J, L+1) of rephased tables
 # gives P values, P gradients and P Hessians.
 
 def _value(ctx: CriterionContext, ct: np.ndarray):
     resid = ct - ct.mean(axis=-2, keepdims=True)
-    return np.sum(ctx.weights.values**2 * np.mean(np.abs(resid) ** 2, axis=-2), axis=-1)
+    return 2.0 * np.sum(ctx.w2 * np.mean(np.abs(resid) ** 2, axis=-2), axis=-1)
 
 
 def _gradient(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
-    w2l = ctx.weights.values**2 * ctx.table.frequencies
-    terms = w2l * np.imag(ct * np.conj(ct.mean(axis=-2, keepdims=True)))
-    return (2.0 / ct.shape[-2]) * np.sum(terms[..., 1:, :], axis=-1)
+    terms = ctx.w2 * ctx.table.frequencies * np.imag(ct * np.conj(ct.mean(axis=-2, keepdims=True)))
+    return (4.0 / ct.shape[-2]) * np.sum(terms[..., 1:, :], axis=-1)
 
 
 def _hessian(ctx: CriterionContext, ct: np.ndarray) -> np.ndarray:
     J = ct.shape[-2]
-    w2l2 = ctx.weights.values**2 * ctx.table.frequencies**2
-    # C[k, m] = sum_l w2 l^2 Re(ct_kl conj(ct_ml)) over all J curves.
-    C = np.real((ct * w2l2) @ np.swapaxes(ct.conj(), -1, -2))
+    # C[k, m] = sum_{l >= 0} w2 l^2 Re(ct_kl conj(ct_ml)) over all J curves.
+    C = np.real((ct * (ctx.w2 * ctx.table.frequencies**2)) @ np.swapaxes(ct.conj(), -1, -2))
     H = -C[..., 1:, 1:]
     diag = C.sum(axis=-1) - np.diagonal(C, axis1=-2, axis2=-1)  # sum over j != k
     k = np.arange(J - 1)
     H[..., k, k] = diag[..., 1:]
-    return (2.0 / J**2) * H
+    return (4.0 / J**2) * H
 
 
 def evaluate(ctx: CriterionContext, alpha) -> float:
@@ -173,17 +174,15 @@ def grid_profile(ctx: CriterionContext, grid) -> np.ndarray:
 
     whose first part does not depend on alpha at all.
     """
-    table = ctx.table
-    J = ctx.n_curves
+    coeffs = ctx.table.coeffs
     grid = np.asarray(grid, dtype=float)
-    others = table.coeffs.sum(axis=0) - table.coeffs[1]
+    others = coeffs.sum(axis=0) - coeffs[1]
     # Curve 2's row, one copy per grid value, each rephased by it.
-    moving = np.broadcast_to(table.coeffs[1], (grid.size, table.n_samples))
-    cbar = (others + rephase(SpectralTable(moving, table.period), grid).coeffs) / J
-    w2 = ctx.weights.values**2
-    const_terms = w2 * np.mean(np.abs(table.coeffs) ** 2, axis=0)
-    var_terms = w2 * np.abs(cbar) ** 2
-    return np.sum(const_terms) - np.sum(var_terms, axis=1)
+    moving = np.broadcast_to(coeffs[1], grid.shape + coeffs[1].shape)
+    cbar = (others + rephase(SpectralTable(moving, ctx.table.period), grid).coeffs) / ctx.n_curves
+    const_terms = ctx.w2 * np.mean(np.abs(coeffs) ** 2, axis=0)
+    var_terms = ctx.w2 * np.abs(cbar) ** 2
+    return 2.0 * (np.sum(const_terms) - np.sum(var_terms, axis=1))
 
 
 @dataclass(frozen=True)
@@ -212,12 +211,12 @@ def check_identifiability(ctx: CriterionContext) -> IdentifiabilityCheck:
     n = table.n_samples
     ls = table.frequencies
     mags = np.abs(table.coeffs).mean(axis=0)
-    band = np.abs(ls) >= max(1, int(np.ceil(0.75 * table.max_frequency)))
+    band = ls >= max(1, int(np.ceil(0.75 * table.max_frequency)))
     power = np.mean(np.abs(table.coeffs) ** 2, axis=0)
-    sigma2_rough = n * float(np.median(power[band]))  # band holds |l| = L >= 1
+    sigma2_rough = n * float(np.median(power[band]))  # band holds l = L >= 1
     threshold = 3.0 * np.sqrt(sigma2_rough / n)
-    active_mask = (ls != 0) & (ctx.weights.values > 0) & (mags > threshold)
-    active = ls[active_mask]
+    positive = ls[(ls != 0) & (ctx.w2 > 0) & (mags > threshold)]
+    active = np.concatenate((-positive[::-1], positive))  # l and -l are active together
     if active.size >= 2 and np.gcd.reduce(np.abs(active)) == 1:
         msg = "active frequencies are coprime (gcd 1)"
         return IdentifiabilityCheck(True, active, float(threshold), msg)

@@ -1,11 +1,12 @@
 """Frequency-domain representation of sampled periodic curves.
 
-A collection of J curves sampled at n equispaced points t_i = (i-1)T/n of a
-period-T interval is mapped to the table of discrete Fourier coefficients
+A collection of J real curves sampled at n equispaced points t_i = (i-1)T/n
+of a period-T interval is mapped to the table of discrete Fourier coefficients
 
-    d_{jl} = (1/n) sum_m y_{jm} exp(-i 2 pi m l / n),   l = -L..L,  L = (n-1)/2,
+    d_{jl} = (1/n) sum_m y_{jm} exp(-i 2 pi m l / n),   l = 0..L,  L = (n-1)/2,
 
-with n odd so that the frequency index set is symmetric.  A time shift of
+one real FFT per curve, with n odd; d_{j,-l} = conj(d_{jl}) completes the
+symmetric set -L..L, in which weight schemes are stated.  A time shift of
 curve j by theta multiplies d_{jl} by exp(-i l alpha) with alpha = 2 pi
 theta / T, which is what makes this representation convenient for shift
 estimation: candidate shifts are undone in place by `rephase`, and agreement
@@ -73,19 +74,17 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Per-curve Fourier coefficients d_{jl}, columns ordered l = -L..L.
+    """Per-curve Fourier coefficients d_{jl} of real curves, columns l = 0..L (not l < 0).
 
     Leading axes, if any, stack independent J-curve tables, as in `CurveSet`.
     """
 
-    coeffs: np.ndarray  # (..., J, 2L+1) complex
+    coeffs: np.ndarray  # (..., J, L+1) complex
     period: float
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape[-1] % 2 == 0:
-            raise ValueError("coefficient table must be J x (2L+1)")
         _require_period(self.period)
 
     @property
@@ -94,16 +93,15 @@ class SpectralTable:
 
     @property
     def n_samples(self) -> int:
-        return self.coeffs.shape[-1]
+        return 2 * self.coeffs.shape[-1] - 1
 
     @property
     def max_frequency(self) -> int:
-        return (self.coeffs.shape[-1] - 1) // 2
+        return self.coeffs.shape[-1] - 1
 
     @property
     def frequencies(self) -> np.ndarray:
-        L = self.max_frequency
-        return np.arange(-L, L + 1)
+        return np.arange(self.coeffs.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -141,6 +139,10 @@ class WeightScheme:
     @property
     def max_frequency(self) -> int:
         return self.values.size // 2
+
+    @property
+    def half_squared(self) -> np.ndarray:  # delta_l^2, l = 0..L: the half a SpectralTable holds
+        return self.values[self.max_frequency:] ** 2
 
     @classmethod
     def power(cls, beta: float, max_frequency: int) -> "WeightScheme":
@@ -183,42 +185,34 @@ def _require_period(period: float) -> None:
         raise ValueError("period must be finite and positive")
 
 
-def _require_odd(n: int) -> int:
-    if n % 2 == 0:
-        raise ValueError(
-            f"sample count n = {n} is even; the transform requires odd n for a "
-            "symmetric frequency set. Truncate the last sample first (the CLI "
-            "does this with --truncate-even)."
-        )
-    return (n - 1) // 2
-
-
 def forward_dft(samples, period: float) -> np.ndarray:
-    """Normalized DFT of one curve, or of every curve along the last axis, in l = -L..L order.
+    """Normalized DFT of one curve, or of every curve along the last axis, for l = 0..L.
 
     c_l = (1/n) sum_{m=0}^{n-1} x_m exp(-i 2 pi m l / n).  Requires odd n.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim < 1:
         raise ValueError("samples must be one curve or an array of curves")
-    _require_odd(x.shape[-1])
+    if x.shape[-1] % 2 == 0:
+        raise ValueError(
+            f"sample count n = {x.shape[-1]} is even; the transform requires odd n for a "
+            "symmetric frequency set. Truncate the last sample first (the CLI "
+            "does this with --truncate-even)."
+        )
     if not np.all(np.isfinite(x)):
         raise ValueError("curve samples must be finite")
     _require_period(period)
-    return np.fft.fftshift(np.fft.fft(x, axis=-1), axes=-1) / x.shape[-1]
+    return np.fft.rfft(x) / x.shape[-1]
 
 
 def inverse_dft(coeffs) -> np.ndarray:
-    """Inverse of `forward_dft`: x_m = sum_l c_l exp(i 2 pi m l / n).
+    """Inverse of `forward_dft`: x_m = sum_{l=-L..L} c_l exp(i 2 pi m l / n), c_{-l} = conj(c_l).
 
-    The imaginary residual of the inverse FFT is discarded; for tables with
-    conjugate-symmetric rows it is at rounding level.
+    The curves are real, so the imaginary part of c_0 is ignored.
     """
     c = np.asarray(coeffs, dtype=complex)
-    n = c.shape[-1]
-    if n % 2 == 0:
-        raise ValueError("coefficient vector must have odd length 2L+1")
-    return np.fft.ifft(np.fft.ifftshift(c, axes=-1) * n, axis=-1).real
+    n = 2 * c.shape[-1] - 1
+    return np.fft.irfft(c * n, n)
 
 
 def transform(curves: CurveSet) -> SpectralTable:
@@ -236,24 +230,20 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
 
     `alpha` has one entry per curve, in radians, on its last axis.  Its
     leading axes broadcast against the table's: P phase vectors (P, J) rephase
-    one (J, 2L+1) table P ways, or a stack of P tables one way each.
-    Rephasing preserves the modulus of every coefficient.  Only l >= 1 is
-    computed, as cos and sin of l a; l < 0 takes the conjugates and l = 0
-    takes 1.  The phasors equal np.exp(1j * l * a) bit for bit, except that a
-    zero imaginary part off l = 0 carries the sign of the zero angle l a.
+    one (J, L+1) table P ways, or a stack of P tables one way each.
+    Rephasing preserves the modulus of every coefficient.  l = 0 takes 1, and
+    l >= 1 takes cos and sin of l a, which equal np.exp(1j * l * a) bit for
+    bit, except that a zero imaginary part carries the sign of the zero angle.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim < 1 or a.shape[-1] != table.n_curves:
         raise ValueError("alpha must have one entry per curve")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    L = table.max_frequency
-    angles = a[..., None] * np.arange(1, L + 1)
-    phases = np.empty(a.shape + (2 * L + 1,), dtype=complex)
-    half = phases[..., L + 1:]
-    half.real, half.imag = np.cos(angles), np.sin(angles)
-    phases[..., L] = 1.0
-    phases[..., :L] = np.conj(half[..., ::-1])
+    angles = a[..., None] * table.frequencies[1:]
+    phases = np.empty(a.shape + (angles.shape[-1] + 1,), dtype=complex)
+    phases[..., 0] = 1.0
+    phases[..., 1:].real, phases[..., 1:].imag = np.cos(angles), np.sin(angles)
     # Named, not a temporary: numpy would multiply a temporary in place with the
     # operands swapped, and complex products round differently then.
     return SpectralTable(coeffs=table.coeffs * phases, period=table.period)

@@ -18,8 +18,8 @@ both are replaced by moment estimators:
     floored at zero.
 
 The plug-in Gamma keeps the exact scalar * (I + U) structure.  Both
-estimates read the table that the optimizer rephased at alpha_hat, for one
-table (`confidence_intervals`) or a study's stack (`interval_half_widths`).
+estimates read the l = 0..L table that the optimizer rephased at alpha_hat,
+one (`confidence_intervals`) or a study's stack (`interval_half_widths`).
 
 The normal quantile z is `_ndtri`, a numpy port of the Cephes routine,
 which `simulate` also uses to turn uniforms into Gaussian noise.
@@ -134,15 +134,15 @@ class CovarianceReport:
 
 
 def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
-    """The scalar of Gamma = scalar (I + U) for each row of |c_l|^2.
+    """The scalar of Gamma = scalar (I + U) for each row of |c_l|^2, l = 0..L.
 
     NaN where no weighted frequency carries positive power.
     """
     L = weights.max_frequency
-    ls = np.arange(-L, L + 1, dtype=float)
-    w2 = weights.values**2
-    denom = np.sum(w2 * ls**2 * magnitudes_sq, axis=-1)
-    numer = np.sum(w2**2 * ls**2 * magnitudes_sq, axis=-1)
+    ls = np.arange(L + 1, dtype=float)
+    w2 = weights.half_squared  # each sum over l = -L..L is twice its half, as delta_0 = 0
+    denom = 2.0 * np.sum(w2 * ls**2 * magnitudes_sq, axis=-1)
+    numer = 2.0 * np.sum(w2**2 * ls**2 * magnitudes_sq, axis=-1)
     # In Python floats: pow(d, 2) and numpy's d * d differ in the last bit
     # for about one d in a thousand.
     scalar = [u / d**2 if d > 0.0 else np.nan
@@ -162,11 +162,11 @@ def _gamma(scalar: float, n_curves: int) -> np.ndarray:
 
 
 def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
-    """Gamma matrix for given squared coefficient magnitudes |c_l|^2."""
+    """Gamma matrix for given squared coefficient magnitudes |c_l|^2, l = -L..L."""
     m = np.asarray(magnitudes_sq, dtype=float)
     if m.shape != weights.values.shape:
         raise ValueError("magnitude vector does not match the weight range")
-    return _gamma(float(_gamma_scalar(m, weights)), n_curves)
+    return _gamma(float(_gamma_scalar(m[weights.max_frequency:], weights)), n_curves)
 
 
 def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
@@ -174,10 +174,12 @@ def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
 
     Gamma's diagonal is 2 * scalar, so one standard error sqrt(sigma2 gamma_jj / n)
     serves every shift of a table; scalar and se are NaN where Gamma is not estimable.
+    With D_l = sum_j |ct_jl - mean_l|^2, sigma2 = (D_0 + 2 sum_{l >= 1} D_l) / (J - 1).
     """
-    J, n = ct.shape[-2], ct.shape[-1]
+    J, n = ct.shape[-2], 2 * ct.shape[-1] - 1
     mean = ct.mean(axis=-2, keepdims=True)
-    sigma2 = n / (J - 1) * np.sum(np.abs(ct - mean) ** 2, axis=-2).mean(axis=-1)
+    D = np.sum(np.abs(ct - mean) ** 2, axis=-2)
+    sigma2 = (D[..., 0] + 2.0 * D[..., 1:].sum(axis=-1)) / (J - 1)
     power = np.maximum(np.abs(mean[..., 0, :]) ** 2 - np.asarray(sigma2)[..., None] / (n * J), 0.0)
     scalar = _gamma_scalar(power, weights)
     return sigma2, scalar, np.sqrt(sigma2 * (scalar * 2.0) / n), _ndtri(0.5 * (1.0 + level))
@@ -185,7 +187,7 @@ def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
 
 def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
     """(R,) half-widths z se of the intervals of `confidence_intervals`, for a
-    stack (R, J, 2L+1) of tables rephased at their alpha_hat; NaN where it raises."""
+    stack (R, J, L+1) of tables rephased at their alpha_hat; NaN where it raises."""
     _, _, se, z = _plug_in(ct, weights, level)
     return z * se
 

@@ -2,13 +2,13 @@
 
 Curves are first denoised by a Nadaraya-Watson smoother with a Gaussian
 kernel and circular distance on the period, which on the equispaced grid
-reduces to a circular convolution with constant normalization.  All curves
-are smoothed together, by one real FFT pair over the (J, n) matrix, or over
-a study's stacked (R, J, n) curves, and one FFT of the kernel.  The discrete
-argmax of each smoothed curve is then refined by a parabola through the
-three surrounding points, for all curves at once, and each curve's shift is
-reported as the offset of its refined maximum from the first curve's of its
-set.
+reduces to a circular convolution with constant normalization: one real FFT
+pair over a (J, n) set, or a study's (R, J, n) block, whose real FFT is the
+`fourier.transform` table the study already has, and one FFT of the kernel.
+The discrete argmax of each smoothed curve is then refined by a parabola
+through the three surrounding points, for all curves at once, and each
+curve's shift is reported as the offset of its refined maximum from the
+first curve's of its set.
 
 This uses only the landmark (one point per curve) instead of the full data,
 which is what makes it a baseline rather than a competitor.
@@ -62,11 +62,16 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
         raise ValueError("curve must have n >= 3 samples on its last axis")
     _require_period(period)
     n = y.shape[-1]
+    return _smoothed(np.fft.rfft(y) / n, n, period, config)
+
+
+def _smoothed(coeffs: np.ndarray, n: int, period: float, config: LandmarkConfig | None):
+    """`smooth` of n-sample curves from coeffs = rfft(y) / n, their `forward_dft` for odd n."""
     h = config.bandwidth if config and config.bandwidth else default_bandwidth(n, period)
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
     kernel = np.exp(-0.5 * (dist / h) ** 2)
-    return np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(kernel), n) / kernel.sum()
+    return np.fft.irfft(coeffs * (n * np.fft.rfft(kernel)), n) / kernel.sum()
 
 
 def _refined_max(sm: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +119,13 @@ def landmark_shifts(
     set's shifts relative to its own curve 1, from one smoothing of all its
     curves.
     """
-    T = curves.period
-    locs, ok = _refined_max(smooth(curves.samples, T, config), T)
+    n, T = curves.n_samples, curves.period
+    return _spectrum_shifts(np.fft.rfft(curves.samples) / n, n, T, config)
+
+
+def _spectrum_shifts(coeffs: np.ndarray, n: int, T: float, config: LandmarkConfig | None):
+    """`landmark_shifts` from coeffs = rfft(samples) / n, for odd n the `transform` table."""
+    locs, ok = _refined_max(_smoothed(coeffs, n, T, config), T)
     shifts = np.full(locs.shape, np.nan)
     first = ok[..., :1]
     rel = ok & first

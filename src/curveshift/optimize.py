@@ -23,7 +23,7 @@ values.  Coordinates are wrapped, not clamped: the contrast is exactly
 iterates in the principal box.
 
 There is one Newton engine, `_descend`: it runs P problems at once, every
-start of every table of a stack (R, J, 2L+1), and `minimize` runs it on a
+start of every table of a stack (R, J, L+1), and `minimize` runs it on a
 stack of one table.  Each problem keeps its own step, line search, iteration
 count and stop, so its path is the one it would take alone; the problems
 share each rephase, value, gradient, Hessian and Cholesky call.  A `Descent`
@@ -83,7 +83,7 @@ class Descent:
     f: np.ndarray  # (P,) contrast values there
     iterations: np.ndarray  # (P,) accepted steps
     gradient_max: np.ndarray  # (P,) max-norm of the gradient at x
-    aligned: np.ndarray  # (P, J, 2L+1) each run's table rephased at x
+    aligned: np.ndarray  # (P, J, L+1) each run's table rephased at x
     stop: np.ndarray  # (P,) TOLERANCE, NO_LOWER_VALUE or ITERATION_CAP
     newton: np.ndarray  # (P,) Newton directions taken
     steepest: np.ndarray  # (P,) -g directions taken
@@ -111,9 +111,10 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     Returns (J-1,) phases for one table and (R, J-1) for a stack of R tables.
 
     Curve j's correlation at phase a is Re sum_l w2_l d_jl conj(d_1l) exp(i l a),
-    maximized over a = 2 pi k/m, k = 0..m-1, where m = q n is a whole multiple
-    of n.  The scan is exact on that grid without evaluating all of it.  Folded
-    onto l = 0..L as p_l, the correlation is n/2 times
+    l = -L..L, maximized over a = 2 pi k/m, k = 0..m-1, where m = q n is a
+    whole multiple of n.  The scan is exact on that grid without evaluating
+    all of it.  With p_l = 2 w2_l d_jl conj(d_1l) on l = 0..L, the columns of
+    the table and of `w2`, the correlation is n/2 times
     f(a) = (1/n) Re sum_l s_l p_l exp(i l a), with s_0 = 1 and s_l = 2 otherwise.
     One real inverse FFT of length n gives f at the coarse points k = q c.  On
     a coarse cell of width h = 2 pi/n, f exceeds its larger endpoint by at most
@@ -128,15 +129,12 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     n, L = table.n_samples, table.max_frequency
     q = m // n
     coeffs = table.coeffs
-    cross = w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :])
-    stacked = cross.shape[:-1]
-    # Fold l < 0 onto l > 0, so that any table, not only a conjugate-symmetric
-    # one, gives the correlation above.  Every row of every table is scanned
-    # at once.
-    half = (cross[..., L:] + np.conj(cross[..., L::-1])).reshape(-1, L + 1)
-    coarse = np.fft.irfft(half, n, axis=1)
-    ls = np.arange(L + 1)
-    terms = half * (np.where(ls == 0, 1.0, 2.0) / n)  # f(a) = Re sum_l terms_l exp(i l a)
+    p = 2.0 * (w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :]))
+    stacked = p.shape[:-1]
+    p = p.reshape(-1, L + 1)  # every row of every table is scanned at once
+    coarse = np.fft.irfft(p, n, axis=1)
+    ls = table.frequencies
+    terms = p * (np.where(ls == 0, 1.0, 2.0) / n)  # f(a) = Re sum_l terms_l exp(i l a)
     size = np.abs(terms)
     # Bounds the rounding of either evaluation of f; the cell test below
     # allows it three times (coarse endpoint, interior value, tie).
@@ -168,7 +166,7 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
 
 
 def _starts(ctx: CriterionContext) -> np.ndarray:
-    """Start rows (R, S, J-1) for every table of ctx's (R, J, 2L+1) stack.
+    """Start rows (R, S, J-1) for every table of ctx's (R, J, L+1) stack.
 
     Per table the S rows are the scan start, then under flagged weights the
     unweighted n-point lag and the zero vector (S = 3, duplicates kept;
@@ -179,9 +177,9 @@ def _starts(ctx: CriterionContext) -> np.ndarray:
     """
     table = ctx.table
     n = table.n_samples
-    starts = [_correlation_argmax(table, ctx.weights.values**2, SCAN_OVERSAMPLING * n)]
+    starts = [_correlation_argmax(table, ctx.w2, SCAN_OVERSAMPLING * n)]
     if ctx.weights.fluctuation_warning is not None:
-        starts += [_correlation_argmax(table, np.ones(n), n), np.zeros_like(starts[0])]
+        starts += [_correlation_argmax(table, np.ones_like(ctx.w2), n), np.zeros_like(starts[0])]
     return np.stack(starts, axis=1)
 
 
@@ -237,7 +235,7 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.nda
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> Descent:
     """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
 
-    Row p minimizes the contrast of table p of ctx.table, a (P, J, 2L+1)
+    Row p minimizes the contrast of table p of ctx.table, a (P, J, L+1)
     stack.  Each row keeps its own step, line search, Newton-or-steepest-
     descent choice, iteration count and stop, so its run and work counts are
     the ones it would have alone; the rows share each rephase, value,
@@ -305,7 +303,7 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
 def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Descent:
     """Minimize the contrast of every table of ctx in one stacked Newton pass.
 
-    ctx.table is a stack (R, J, 2L+1).  Each table's S starts (`_starts`)
+    ctx.table is a stack (R, J, L+1).  Each table's S starts (`_starts`)
     are rows of one `_descend` call, and each table keeps its run with the
     lowest criterion value; exact ties go to the lexicographically smallest
     wrapped phase vector, then to the earlier start.  Runs with a value that

@@ -13,8 +13,8 @@ for bit, and in the tails its last bits follow numpy's `log`.
 A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
 and processes each block in one pass: one `_ndtri` call, one transform, one
 start scan, one stacked Newton run (`optimize`), whose tables rephased at
-the optima also give the intervals, and one landmark smoothing.  Each
-replicate gets the numbers it would get alone.
+the optima also give the intervals, and one landmark smoothing of that same
+table.  Each replicate gets the numbers it would get alone.
 
 A study aggregates the shift estimates over replicates: bias, the empirical
 covariance of the sqrt(n)-scaled errors, confidence-interval coverage, and
@@ -22,7 +22,7 @@ root-mean-square errors for both the contrast minimizer and the
 landmark-alignment baseline.  The matching theoretical covariance is
 computed from the pattern's exact Fourier coefficients, obtained by
 composite Simpson quadrature of (1/T) integral f(t) exp(-2 pi i l t / T) dt,
-evaluated for all l at once as one FFT of the Simpson-weighted samples.
+evaluated for all l = -L..L at once as one FFT of the Simpson-weighted samples.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import (CurveSet, SpectralTable, WeightScheme, _require_period, forward_dft,
                       inverse_dft, rephase, transform)
 from .inference import _ndtri, gamma_from_power, interval_half_widths
-from .landmark import LandmarkConfig, landmark_shifts
+from .landmark import LandmarkConfig, _spectrum_shifts
 from .optimize import OptimizerConfig, _minimize_tables
 
 __all__ = [
@@ -206,11 +206,11 @@ def true_coefficients(spec: SimulationSpec) -> np.ndarray:
     FFT of the Simpson-weighted samples (exp(-2 pi i l t/T) is 1 at both ends,
     so the endpoint sample folds onto t = 0).  That result is cached per
     (pattern, L, period), and each call returns a copy.  A custom sampled
-    pattern is its own band-limited truth, so its transform is returned
+    pattern is its own band-limited truth, so its normalized DFT is returned
     directly.
     """
     if not isinstance(spec.pattern, str):
-        return forward_dft(spec.pattern, spec.period)
+        return np.fft.fftshift(np.fft.fft(spec.pattern)) / spec.n_samples
     return _named_coefficients(spec.pattern, spec.max_frequency, spec.period).copy()
 
 
@@ -308,7 +308,7 @@ def run_study(
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = run.x
         half[b] = interval_half_widths(run.aligned, spec.weights, spec.confidence)
-        theta_lm[b], landmark_ok[b] = landmark_shifts(curves, landmark_config)
+        theta_lm[b], landmark_ok[b] = _spectrum_shifts(table.coeffs, n, T, landmark_config)
     theta_hat = full_phases(alpha_hat, J) * (T / (2.0 * np.pi))
     errors = wrap_phase(alpha_hat - alpha_true)
     inferred = ~np.isnan(half)

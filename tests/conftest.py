@@ -6,7 +6,7 @@ sums, independent of the vectorized library code they check.
 
 import numpy as np
 
-from curveshift import CriterionContext, CurveSet, WeightScheme, transform
+from curveshift import CriterionContext, CurveSet, SpectralTable, WeightScheme, transform
 
 
 def brute_force_dft(x):
@@ -21,6 +21,16 @@ def brute_force_dft(x):
             acc += x[m] * np.exp(-2j * np.pi * m * l / n)
         out[idx] = acc / n
     return out
+
+
+def full_coeffs(table):
+    """A table's coefficients over l = -L..L, from its columns l = 0..L.
+
+    Real curves have d_{j,-l} = conj(d_{jl}); takes a `SpectralTable` or its
+    coefficient array, with any leading stack axes.
+    """
+    c = table.coeffs if isinstance(table, SpectralTable) else np.asarray(table)
+    return np.concatenate((np.conj(c[..., :0:-1]), c), axis=-1)
 
 
 def brute_force_criterion(coeffs, weight_values, alpha_full):

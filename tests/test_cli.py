@@ -378,6 +378,21 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
+    def test_optimizer_options_checked_before_the_input_is_read(self, tmp_path, capsys,
+                                                                 command):
+        # An even-length file under unit weights would warn twice while it is
+        # read and fitted; a bad tolerance exits 2 before either warning.
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(np.arange(12)), np.sin(np.arange(12))])
+        out = tmp_path / "o"
+        rc = main([command, "--input", str(src), "--weights", "unit", "--truncate-even",
+                   "--grad-tol", "inf", "--output-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: input: gradient_tolerance must be finite and positive\n"
+        assert not any(out.rglob("*.*"))
+
 
 class TestSimulate:
     def test_figure_grid_layout(self, tmp_path):

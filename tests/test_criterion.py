@@ -7,6 +7,7 @@ from conftest import (
     brute_force_criterion,
     finite_difference_gradient,
     finite_difference_jacobian,
+    full_coeffs,
     random_instance,
     random_weights,
 )
@@ -24,7 +25,8 @@ from curveshift import (
     rephase,
     transform,
 )
-from curveshift.criterion import _value
+from curveshift.cli import _materialize_weights
+from curveshift.criterion import _gradient, _hessian, _value
 
 T = 2.0 * np.pi
 
@@ -46,7 +48,7 @@ class TestEvaluate:
             ctx, alpha = random_instance(rng)
             got = evaluate(ctx, alpha)
             oracle = brute_force_criterion(
-                ctx.table.coeffs, ctx.weights.values, np.concatenate([[0.0], alpha])
+                full_coeffs(ctx.table), ctx.weights.values, np.concatenate([[0.0], alpha])
             )
             assert got == pytest.approx(oracle, rel=1e-10)
 
@@ -74,8 +76,8 @@ class TestEvaluate:
         for _ in range(10):
             ctx, alpha = random_instance(rng)
             full = np.concatenate([[0.0], alpha])
-            ls = ctx.table.frequencies
-            ct = ctx.table.coeffs * np.exp(1j * np.outer(full, ls))
+            L = ctx.table.max_frequency
+            ct = full_coeffs(ctx.table) * np.exp(1j * np.outer(full, np.arange(-L, L + 1)))
             cbar = ct.mean(axis=0)
             w2 = ctx.weights.values**2
             alt = float(np.sum(w2 * (np.mean(np.abs(ct) ** 2, axis=0) - np.abs(cbar) ** 2)))
@@ -201,6 +203,98 @@ class TestGridProfile:
             assert np.allclose(grid_profile(ctx, grid), direct, rtol=1e-10, atol=1e-12), J
 
 
+def full_table_derivatives(full, weight_values, alpha_full):
+    """Gradient and Hessian in alpha_2..alpha_J as the module docstring writes
+    them: sums over l = -L..L of a full table, one entry at a time."""
+    J, width = full.shape
+    L = width // 2
+    ls = np.arange(-L, L + 1)
+    w2 = weight_values**2
+    ct = full * np.exp(1j * np.outer(alpha_full, ls))
+    cb = ct.mean(axis=0)
+    grad = np.array([2.0 / J * np.sum(w2 * ls * np.imag(ct[k] * np.conj(cb)))
+                     for k in range(1, J)])
+    H = np.empty((J - 1, J - 1))
+    for k in range(1, J):
+        for m in range(1, J):
+            if k == m:
+                others = sum(np.conj(ct[j]) for j in range(J) if j != k)
+                H[k - 1, k - 1] = 2.0 / J**2 * np.sum(w2 * ls**2 * np.real(ct[k] * others))
+            else:
+                H[k - 1, m - 1] = -2.0 / J**2 * np.sum(w2 * ls**2
+                                                       * np.real(ct[k] * np.conj(ct[m])))
+    return grad, H
+
+
+def oracle_weight_schemes(tmp_path, L):
+    """Unit, power:1.3 and file weights over l = -L..L."""
+    rng = np.random.default_rng(L)
+    path = tmp_path / f"weights-{L}.csv"
+    rows = [f"{s * l},{d!r}" for l, d in enumerate(rng.uniform(0.0, 2.0, L).tolist(), start=1)
+            for s in (1, -1)]
+    path.write_text("\n".join(["l,delta"] + rows) + "\n")
+    return [WeightScheme.unit(L), WeightScheme.power(1.3, L),
+            _materialize_weights(f"file:{path}", L)]
+
+
+def max_relative(got, ref):
+    return np.max(np.abs(np.asarray(got) - ref)) / np.max(np.abs(ref))
+
+
+class TestFullTableOracle:
+    """The half-table kernels against the contrast and its derivatives summed
+    over l = -L..L of the full table built from it."""
+
+    def random_tables(self, rng, R, J, L):
+        # Real curves' tables, and random complex ones, which stand for the
+        # real curves whose l = 0..L coefficients they are.
+        real = transform(CurveSet(samples=rng.normal(size=(R, J, 2 * L + 1)), period=T))
+        coeffs = rng.normal(size=(R, J, L + 1)) + 1j * rng.normal(size=(R, J, L + 1))
+        return [real, SpectralTable(coeffs, T)]
+
+    @pytest.mark.parametrize("J, L", [(2, 3), (5, 20), (7, 50)])
+    def test_single_tables(self, tmp_path, J, L):
+        rng = np.random.default_rng(10 * J + L)
+        for weights in oracle_weight_schemes(tmp_path, L):
+            for stack in self.random_tables(rng, 2, J, L):
+                for coeffs in stack.coeffs:
+                    ctx = CriterionContext(SpectralTable(coeffs, T), weights)
+                    full = full_coeffs(coeffs)
+                    alpha = rng.uniform(-np.pi, np.pi, J - 1)
+                    alpha_full = np.concatenate([[0.0], alpha])
+                    value = brute_force_criterion(full, weights.values, alpha_full)
+                    grad, H = full_table_derivatives(full, weights.values, alpha_full)
+                    assert evaluate(ctx, alpha) == pytest.approx(value, rel=1e-12)
+                    assert max_relative(gradient(ctx, alpha), grad) <= 1e-12
+                    assert max_relative(hessian(ctx, alpha), H) <= 1e-12
+                    grid = np.linspace(-np.pi, np.pi, 9)
+                    profile = [brute_force_criterion(full, weights.values,
+                                                     np.concatenate([[0.0, g], np.zeros(J - 2)]))
+                               for g in grid]
+                    assert max_relative(grid_profile(ctx, grid), profile) <= 1e-12
+
+    @pytest.mark.parametrize("J, L", [(3, 10), (6, 40)])
+    def test_stacks(self, tmp_path, J, L):
+        # A stack (R, J, L+1) rephased at R phase vectors gives R values,
+        # gradients and Hessians, each that of its own full table.
+        rng = np.random.default_rng(J + L)
+        R = 4
+        for weights in oracle_weight_schemes(tmp_path, L):
+            for stack in self.random_tables(rng, R, J, L):
+                ctx = CriterionContext(stack, weights)
+                alpha = np.concatenate([np.zeros((R, 1)), rng.uniform(-np.pi, np.pi, (R, J - 1))],
+                                       axis=1)
+                ct = rephase(stack, alpha).coeffs
+                values, grads, hessians = _value(ctx, ct), _gradient(ctx, ct), _hessian(ctx, ct)
+                for r in range(R):
+                    full = full_coeffs(stack.coeffs[r])
+                    grad, H = full_table_derivatives(full, weights.values, alpha[r])
+                    value = brute_force_criterion(full, weights.values, alpha[r])
+                    assert values[r] == pytest.approx(value, rel=1e-12)
+                    assert max_relative(grads[r], grad) <= 1e-12
+                    assert max_relative(hessians[r], H) <= 1e-12
+
+
 class TestConstrainedShift:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError, match="pi"):
@@ -256,3 +350,24 @@ class TestIdentifiability:
         check = check_identifiability(ctx)
         assert not check.ok
         assert set(np.abs(check.active_frequencies)) == {2}
+
+    def test_cosine_passes_and_pure_second_harmonic_fails_with_their_messages(self):
+        # The table holds l = 0..L, and each active l counts with -l, so a
+        # single harmonic is two active frequencies, as on a full table.
+        n = 101
+        t = np.arange(n) * T / n
+        weights = WeightScheme.power(1.3, 50)
+        cosine = check_identifiability(CriterionContext(
+            transform(CurveSet(samples=np.vstack([np.cos(t), np.cos(t - 0.4)]), period=T)),
+            weights))
+        assert cosine.ok
+        assert cosine.message == "active frequencies are coprime (gcd 1)"
+        assert np.array_equal(cosine.active_frequencies, [-1, 1])
+        second = check_identifiability(CriterionContext(
+            transform(CurveSet(samples=np.vstack([np.cos(2 * t), np.cos(2 * (t - 0.4))]),
+                               period=T)),
+            weights))
+        assert not second.ok
+        assert second.message == ("no coprime pair among active frequencies [2]; shifts are "
+                                  "only identified up to a sublattice")
+        assert np.array_equal(second.active_frequencies, [-2, 2])

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from conftest import full_coeffs
+
 from curveshift import (
     CriterionContext,
     CurveSet,
@@ -123,14 +125,16 @@ class TestGamma:
         L = 20
         ls = np.arange(-L, L + 1)
         for _ in range(20):
-            m = rng.uniform(0.0, 1.0, 2 * L + 1)
+            m = rng.uniform(0.0, 1.0, L + 1)
+            m = np.concatenate([m[:0:-1], m])  # |c_l|^2 of a real pattern is even in l
             half = rng.uniform(0.1, 2.0, L)
             w = WeightScheme.custom(np.concatenate([half[::-1], [0.0], half]))
             scalar = gamma_from_power(m, w, 3)[0, 1]
             bound = 1.0 / np.sum(ls**2 * m)
             assert scalar >= bound * (1 - 1e-12)
         unit = WeightScheme.unit(L)
-        m = rng.uniform(0.1, 1.0, 2 * L + 1)
+        m = rng.uniform(0.1, 1.0, L + 1)
+        m = np.concatenate([m[:0:-1], m])
         scalar = gamma_from_power(m, unit, 3)[0, 1]
         assert scalar == pytest.approx(1.0 / np.sum(ls**2 * m), rel=1e-12)
 
@@ -212,11 +216,12 @@ class TestConfidenceIntervals:
                               replicates=1, seed=8)
         table = transform(generate(spec, 0).curves)
         res = minimize(CriterionContext(table, spec.weights))
-        ct = rephase(table, res.alpha_hat.full()).coeffs
+        ct = rephase(table, res.alpha_hat.full()).coeffs  # l = 0..L
         J, n, mean = 6, 101, ct.mean(axis=0)
-        sigma2 = n / (J - 1) * np.mean(np.sum(np.abs(ct - mean) ** 2, axis=0))
-        gamma = gamma_from_power(np.maximum(np.abs(mean) ** 2 - sigma2 / (n * J), 0.0),
-                                 spec.weights, J)
+        D = np.sum(np.abs(ct - mean) ** 2, axis=0)
+        sigma2 = (D[0] + 2.0 * D[1:].sum()) / (J - 1)  # l = 0, then l and -l for l >= 1
+        power = np.maximum(np.abs(mean) ** 2 - sigma2 / (n * J), 0.0)
+        gamma = gamma_from_power(np.concatenate([power[:0:-1], power]), spec.weights, J)
         calls = []
         original = fourier.rephase
 
@@ -234,6 +239,24 @@ class TestConfidenceIntervals:
             assert r.sigma2_hat == sigma2
             assert np.array_equal(r.gamma_hat, gamma)
         assert np.array_equal(report.intervals_alpha, bare.intervals_alpha)
+
+    def test_estimates_equal_full_table_formulas(self):
+        # sigma2 and Gamma read l = 0..L; they equal their sums over l = -L..L.
+        spec = SimulationSpec(pattern="sinc15", n_curves=6, n_samples=101, sigma=1.0,
+                              replicates=3, seed=8)
+        J, n, L = 6, 101, 50
+        ls, w2 = np.arange(-L, L + 1), spec.weights.values**2
+        for r in range(spec.replicates):
+            table = transform(generate(spec, r).curves)
+            res = minimize(CriterionContext(table, spec.weights))
+            full = full_coeffs(res.aligned)
+            mean = full.mean(axis=0)
+            sigma2 = n / (J - 1) * np.mean(np.sum(np.abs(full - mean) ** 2, axis=0))
+            m = np.maximum(np.abs(mean) ** 2 - sigma2 / (n * J), 0.0)
+            scalar = np.sum(w2**2 * ls**2 * m) / np.sum(w2 * ls**2 * m) ** 2
+            report = confidence_intervals(res, table, spec.weights)
+            assert report.sigma2_hat == pytest.approx(sigma2, rel=1e-12)
+            assert report.gamma_hat[0, 1] == pytest.approx(scalar, rel=1e-12)
 
     def test_stacked_half_widths_equal_single_reports(self):
         # The study's stacked inference gives each table the half width of its

@@ -40,6 +40,17 @@ class TestSmooth:
         rhs = 2.0 * smooth(y1, T, cfg) - 0.5 * smooth(y2, T, cfg)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 20, 41])
+    def test_equals_nadaraya_watson_sum(self, n):
+        # Odd and even n: the weighted mean over the circular grid, term by term.
+        y = np.random.default_rng(n).normal(size=(2, n))
+        h = 0.7
+        t = np.arange(n) * T / n
+        gap = np.abs(t[:, None] - t[None, :])
+        w = np.exp(-0.5 * (np.minimum(gap, T - gap) / h) ** 2)
+        expected = y @ w.T / w.sum(axis=1)
+        assert np.max(np.abs(smooth(y, T, LandmarkConfig(bandwidth=h)) - expected)) < 1e-12
+
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             LandmarkConfig(bandwidth=0.0)
@@ -115,6 +126,15 @@ class TestLandmarkShifts:
         expected = np.array([k * T / n for k in ks])
         expected[expected > T / 2] -= T
         assert np.allclose(shifts, expected, atol=1e-9)
+
+    def test_grid_shifted_unimodal_exact_even_n(self):
+        n = 100
+        t = np.arange(n) * T / n
+        base = np.exp(np.cos(t))
+        ks = [0, 7, -20, 33]
+        rows = np.vstack([np.roll(base, k) for k in ks])
+        shifts = located_shifts(CurveSet(samples=rows, period=T))
+        assert np.allclose(shifts, [k * T / n for k in ks], atol=1e-9)
 
     def test_identical_curves_zero(self):
         n = 51

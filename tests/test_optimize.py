@@ -17,6 +17,7 @@ from curveshift import (
     transform,
     wrap_phase,
 )
+from conftest import full_coeffs
 from curveshift import criterion, fourier, optimize
 from curveshift.criterion import evaluate, grid_profile, hessian
 
@@ -34,8 +35,9 @@ def lag_start(table):
     as a per-curve loop independent of `optimize._correlation_argmax`."""
     n = table.n_samples
     start = np.zeros(table.n_curves - 1)
+    full = full_coeffs(table)  # l = -L..L
     for j in range(1, table.n_curves):
-        p = table.coeffs[j] * np.conj(table.coeffs[0])
+        p = full[j] * np.conj(full[0])
         k = int(np.argmax(np.fft.ifft(np.fft.ifftshift(p)).real))
         start[j - 1] = wrap_phase(2.0 * np.pi * (k - n if k > n // 2 else k) / n)
     return start
@@ -47,7 +49,7 @@ def cosine_curves(alphas_full, n=101):
 
 
 def stack_of_one(ctx):
-    """The context over ctx's table as a stack (1, J, 2L+1), as the engine takes it."""
+    """The context over ctx's table as a stack (1, J, L+1), as the engine takes it."""
     return CriterionContext(SpectralTable(ctx.table.coeffs[None], T), ctx.weights)
 
 
@@ -74,8 +76,8 @@ class TestStarts:
 
     def test_degenerate_spectrum_gives_only_zero(self):
         # Flagged weights: scan, lag and zero starts, all zero and all kept.
-        coeffs = np.zeros((2, 11), dtype=complex)
-        coeffs[:, 5] = 3.0  # only l = 0 carries energy
+        coeffs = np.zeros((2, 6), dtype=complex)
+        coeffs[:, 0] = 3.0  # only l = 0 carries energy
         ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), WeightScheme.unit(5))
         assert np.array_equal(start_rows(ctx), np.zeros((3, 1)))
         assert np.array_equal(minimize(ctx).alpha_hat.free, np.zeros(1))
@@ -109,16 +111,18 @@ class TestStarts:
             assert abs(wrap_phase(start_rows(ctx)[0][0] - best)) < 1e-12
 
     def test_scan_reads_both_halves_of_any_table(self):
-        # A table that is not conjugate-symmetric (not from real curves):
-        # the scan maximizes Re sum_l w2_l d_2l conj(d_1l) exp(i l a) over all l.
+        # A random table l = 0..L stands for real curves, whose l < 0 half is
+        # its conjugate: the scan maximizes Re sum_l w2_l d_2l conj(d_1l)
+        # exp(i l a) over l = -L..L, summed here on the full table.
         rng = np.random.default_rng(5)
         L, m = 6, 8 * 13
-        coeffs = rng.normal(size=(2, 2 * L + 1)) + 1j * rng.normal(size=(2, 2 * L + 1))
+        coeffs = rng.normal(size=(2, L + 1)) + 1j * rng.normal(size=(2, L + 1))
         weights = WeightScheme.power(1.3, L)
         ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), weights)
         grid = 2.0 * np.pi * np.arange(m) / m
         ls = np.arange(-L, L + 1)
-        p = weights.values**2 * coeffs[1] * np.conj(coeffs[0])
+        full = full_coeffs(coeffs)
+        p = weights.values**2 * full[1] * np.conj(full[0])
         corr = [np.real(np.sum(p * np.exp(1j * ls * a))) for a in grid]
         best = grid[int(np.argmax(corr))]
         assert abs(wrap_phase(start_rows(ctx)[0][0] - best)) < 1e-12
@@ -475,22 +479,22 @@ class TestDescent:
         ctx, x0 = two_curve_unit_weight_case()
         run = optimize._descend(CriterionContext(SpectralTable(
             np.repeat(ctx.table.coeffs, 3, axis=0), T), ctx.weights), x0, OptimizerConfig())
-        assert np.array_equal(run.stop, [optimize.TOLERANCE, optimize.TOLERANCE,
-                                         optimize.NO_LOWER_VALUE])
-        assert np.array_equal(run.converged, [True, True, False])
+        assert np.array_equal(run.stop, [optimize.NO_LOWER_VALUE, optimize.TOLERANCE,
+                                         optimize.TOLERANCE])
+        assert np.array_equal(run.converged, [False, True, True])
 
     def test_no_move_stop_keeps_the_run(self):
-        # The zero start's last line search fails.  Run to all 80 halvings
+        # The scan start's last line search fails.  Run to all 80 halvings
         # its run ends at this x, f and iteration count, with 80 rejected
-        # trials (numpy's loops round differently on some CPUs, hence the
-        # tolerance).  The search now ends at the first trial point that
-        # rounds to x, so fewer trials are rejected.
+        # trials in that search (numpy's loops round differently on some
+        # CPUs, hence the tolerance).  The search now ends at the first trial
+        # point that rounds to x, so fewer trials are rejected.
         ctx, x0 = two_curve_unit_weight_case()
-        run = optimize._descend(ctx, x0[2:], OptimizerConfig())
-        assert run.x[0, 0] == pytest.approx(0.025184129852195536, rel=1e-12)
-        assert run.f[0] == pytest.approx(38.08393671456317, rel=1e-12)
-        assert run.iterations[0] == 4 and run.stop[0] == optimize.NO_LOWER_VALUE
-        assert run.rejected[0] < 80 and run.rephased[0] == 1 + 4 + run.rejected[0]
+        run = optimize._descend(ctx, x0[:1], OptimizerConfig())
+        assert run.x[0, 0] == pytest.approx(0.9520244881602489, rel=1e-12)
+        assert run.f[0] == pytest.approx(20.96943892617278, rel=1e-12)
+        assert run.iterations[0] == 5 and run.stop[0] == optimize.NO_LOWER_VALUE
+        assert run.rejected[0] < 80 and run.rephased[0] == 1 + 5 + run.rejected[0]
 
     def fake_winner(self, monkeypatch, f, x):
         # Two flagged-weight tables of three starts; the descent's record is
@@ -500,11 +504,11 @@ class TestDescent:
         fake = optimize.Descent(
             x=np.array(x, dtype=float)[:, None], f=np.array(f, dtype=float),
             iterations=np.zeros(P, dtype=int), gradient_max=np.zeros(P),
-            aligned=np.zeros((P, 2, 3), dtype=complex), stop=np.full(P, optimize.TOLERANCE),
+            aligned=np.zeros((P, 2, 2), dtype=complex), stop=np.full(P, optimize.TOLERANCE),
             newton=np.zeros(P, dtype=int), steepest=np.zeros(P, dtype=int),
             rejected=np.arange(P))
         monkeypatch.setattr(optimize, "_descend", lambda ctx, x0, config: fake)
-        coeffs = np.ones((2, 2, 3), dtype=complex)
+        coeffs = np.ones((2, 2, 2), dtype=complex)
         ctx = CriterionContext(SpectralTable(coeffs, T), WeightScheme.unit(1))
         return optimize._minimize_tables(ctx).rejected
 

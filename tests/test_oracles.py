@@ -1,11 +1,12 @@
 """Literal references for the scan start and the batched landmark baseline.
 
 `full_grid_values` is the scan start as it reads in its definition: the
-weighted correlation of each curve with curve 1 at every phase 2 pi k/m, from
-one length-m inverse FFT per curve.  `landmark_loop` smooths and locates
-each curve's maximum on its own.  The library's coarse-to-fine scan
-and its one-FFT-pair landmark must give the same results, and studies run
-through either path must write the same bytes.
+weighted correlation of each curve with curve 1 over l = -L..L of the full
+table, at every phase 2 pi k/m, from one length-m inverse FFT per curve.
+`landmark_loop` smooths and locates each curve's maximum on its own, from its
+samples, and `spectrum_landmark_loop` from its row of the study's table.  The
+library's coarse-to-fine scan and its one-FFT-pair landmark must give the
+same results, and studies run through either path must write the same bytes.
 """
 
 import numpy as np
@@ -25,7 +26,8 @@ from curveshift import (
     transform,
     wrap_phase,
 )
-from curveshift import optimize, simulate
+from curveshift import landmark, optimize, simulate
+from conftest import full_coeffs
 from curveshift.cli import main
 from curveshift.criterion import wrap_time
 from curveshift.landmark import _refined_max
@@ -36,12 +38,15 @@ SIZES = [3, 5, 101, 401, 2001]
 
 
 def full_grid_values(table, w2, m):
-    """Each curve's w2-weighted correlation with curve 1 at 2 pi k/m, k = 0..m-1 (times m).
+    """Each curve's w2-weighted correlation with curve 1 at 2 pi k/m, k = 0..m-1, times 2/m.
 
-    A stacked table (R, J, 2L+1) gives one (J-1, m) block per table.
+    `w2` is given on the table's columns l = 0..L; the sum runs over l = -L..L
+    of the full table and weights built here.  A stacked table (R, J, L+1)
+    gives one (J-1, m) block per table.
     """
     L = table.max_frequency
-    coeffs = table.coeffs
+    coeffs = full_coeffs(table)
+    w2 = np.concatenate([w2[:0:-1], w2])
     cross = w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :])
     half = cross[..., L:] + np.conj(cross[..., L::-1])
     return np.fft.irfft(half, m, axis=-1)
@@ -63,31 +68,43 @@ def landmark_loop(curves, config=None):
     A stacked CurveSet (R, J, n) is handled one J-curve set at a time.
     """
     period = curves.period
-    sets = curves.samples.reshape(-1, curves.n_curves, curves.n_samples)
+    return row_loop(curves.samples, period, lambda row: smooth(row, period, config))
+
+
+def spectrum_landmark_loop(coeffs, n, period, config=None):
+    """`landmark._spectrum_shifts`, a study's landmark baseline, one curve of the table at a time."""
+    return row_loop(coeffs, period, lambda row: landmark._smoothed(row, n, period, config))
+
+
+def row_loop(rows, period, smooth_row):
+    """Landmark shifts of rows (..., J, width), each smoothed by smooth_row on its own."""
+    J = rows.shape[-2]
+    sets = rows.reshape(-1, J, rows.shape[-1])
     all_shifts = np.full(sets.shape[:2], np.nan)
     all_ok = np.zeros(sets.shape[:2], dtype=bool)
-    for samples, shifts, ok in zip(sets, all_shifts, all_ok):
-        locs = np.full(curves.n_curves, np.nan)
-        for j, row in enumerate(samples):
-            locs[j], ok[j] = _refined_max(smooth(row, period, config), period)
+    for curves, shifts, ok in zip(sets, all_shifts, all_ok):
+        locs = np.full(J, np.nan)
+        for j, row in enumerate(curves):
+            locs[j], ok[j] = _refined_max(smooth_row(row), period)
         if ok[0]:
             shifts[ok] = wrap_time(locs[ok] - locs[0], period)
             shifts[0] = 0.0
-    shape = curves.samples.shape[:-1]
+    shape = rows.shape[:-1]
     return all_shifts.reshape(shape), all_ok.reshape(shape)
 
 
 def weight_sets(n):
-    """w2 under unit and power:1.3 weights, and the lag start's all-ones weights."""
+    """w2 on l = 0..L under unit and power:1.3 weights, and the lag start's all-ones weights."""
     L = (n - 1) // 2
-    return [WeightScheme.unit(L).values ** 2, WeightScheme.power(1.3, L).values ** 2, np.ones(n)]
+    return [WeightScheme.unit(L).values[L:] ** 2, WeightScheme.power(1.3, L).values[L:] ** 2,
+            np.ones(L + 1)]
 
 
 def single_frequency_table(n, l, phases):
     """Curve 1 carries only frequencies +-l; curve j+1 is curve 1 shifted by phases[j]."""
     L = (n - 1) // 2
-    ls = np.arange(-L, L + 1)
-    base = np.where(np.abs(ls) == l, 1.0, 0.0).astype(complex)
+    ls = np.arange(L + 1)
+    base = np.where(ls == l, 1.0, 0.0).astype(complex)
     rows = [base] + [base * np.exp(-1j * ls * a) for a in phases]
     return SpectralTable(coeffs=np.array(rows), period=T)
 
@@ -98,12 +115,13 @@ class TestScanOracle:
     def test_random_tables(self, n, q):
         rng = np.random.default_rng(1000 * n + q)
         real = transform(CurveSet(samples=rng.normal(size=(6, n)), period=T))
-        coeffs = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
-        not_symmetric = SpectralTable(coeffs=coeffs, period=T)
+        L = n // 2
+        coeffs = rng.normal(size=(6, L + 1)) + 1j * rng.normal(size=(6, L + 1))
+        random_complex = SpectralTable(coeffs=coeffs, period=T)
         noisy = [transform(generate(SimulationSpec(pattern, n_curves=6, n_samples=n, sigma=sigma,
                                                    replicates=1, seed=q), 0).curves)
                  for pattern in ("sinc15", "cosine") for sigma in (0.3, 3.0)]
-        for table in [real, not_symmetric] + noisy:
+        for table in [real, random_complex] + noisy:
             for w2 in weight_sets(n):
                 assert np.array_equal(_correlation_argmax(table, w2, q * n),
                                       full_grid_argmax(table, w2, q * n))
@@ -245,7 +263,7 @@ def test_study_outputs_equal_reference_paths(tmp_path, monkeypatch):
 
     shipped = run_all(tmp_path / "shipped")
     monkeypatch.setattr(optimize, "_correlation_argmax", full_grid_argmax)
-    monkeypatch.setattr(simulate, "landmark_shifts", landmark_loop)
+    monkeypatch.setattr(simulate, "_spectrum_shifts", spectrum_landmark_loop)
     reference = run_all(tmp_path / "reference")
     assert len(shipped) == 4
     assert shipped == reference

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import full_coeffs
+
 from curveshift import (
     PATTERNS,
     CriterionContext,
     CurveSet,
+    LandmarkConfig,
     OptimizerConfig,
     SimulationSpec,
     WeightScheme,
@@ -46,9 +49,9 @@ class TestPatterns:
 
     def test_cosine_single_frequency(self):
         c = forward_dft(PATTERNS["cosine"](np.arange(31) * T / 31), T)
-        L = 15
-        assert abs(c[L + 1] - 0.5) < 1e-12
-        assert abs(c[L - 1] - 0.5) < 1e-12
+        assert c.shape == (16,)
+        assert abs(c[1] - 0.5) < 1e-12
+        assert np.max(np.abs(np.delete(c, 1))) < 1e-12
 
 
 class TestSpecValidation:
@@ -231,7 +234,8 @@ class TestTrueCoefficients:
         n = 21
         base = np.cos(np.arange(n) * T / n)
         spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n)
-        assert np.allclose(true_coefficients(spec), forward_dft(base, T), atol=1e-15)
+        # Over l = -L..L, the l >= 0 half being the table's own transform.
+        assert np.allclose(true_coefficients(spec), full_coeffs(forward_dft(base, T)), atol=1e-15)
 
 
 class TestTheoreticalGamma:
@@ -376,6 +380,19 @@ class TestStackedStudy:
             covered.append((ci[:, 0] <= rep.alpha[1:]) & (rep.alpha[1:] <= ci[:, 1]))
         assert summary.inference_failures == 0
         assert np.array_equal(summary.coverage, np.mean(covered, axis=0))
+
+    @pytest.mark.parametrize("pattern, n", [("cosine", 401), ("sinc15", 101)])
+    def test_landmarks_equal_per_replicate_landmark_shifts(self, pattern, n):
+        # A study smooths from the block's table; each replicate's landmark
+        # shifts are those of `landmark_shifts` on its curves, bit for bit.
+        spec = SimulationSpec(pattern=pattern, n_curves=5, n_samples=n, sigma=0.5,
+                              replicates=10, seed=12)
+        for config in (None, LandmarkConfig(bandwidth=0.3)):
+            summary = run_study(spec, landmark_config=config)
+            for r in range(spec.replicates):
+                shifts, ok = landmark_shifts(generate(spec, r).curves, config)
+                assert np.array_equal(summary.theta_hat_landmark[r], shifts, equal_nan=True)
+                assert np.array_equal(summary.landmark_ok[r], ok)
 
     def test_blocks_give_the_same_study(self, monkeypatch):
         # 10 replicates fit one block by default; a block of 3 replicates

@@ -1,50 +1,71 @@
-"""Print the SHA-256 of every file that a fixed set of CLI runs writes.
+"""Record what a fixed set of CLI runs writes: file hashes, or every number.
 
 Run it from a checkout with that checkout's package on the path:
 
     PYTHONPATH=src python tools/output_manifest.py > manifest.txt
+    PYTHONPATH=src python tools/output_manifest.py --numbers > numbers.tsv
+    python tools/output_manifest.py --compare parent.tsv change.tsv
 
-Run the same copy of this file in two checkouts and diff the two outputs to
-see whether a change keeps every output byte.  The commands run in process,
-through `curveshift.cli.main`, inside a temporary directory, and name every
-file by a relative path, so the output depends on neither location.  The
-inputs are drawn with numpy's `default_rng`, not with curveshift.
+Run the same copy of this file in two checkouts and compare the two outputs:
+`diff` for the hashes, `--compare` for the numbers.  The commands run in
+process, through `curveshift.cli.main`, inside a temporary directory, and
+name every file by a relative path, so the output depends on neither
+location.  The inputs are drawn with numpy's `default_rng`, not with
+curveshift.
 
-The output is one `sha256  path` line per written file, sorted by path, then
-one line per command with its exit code, the SHA-256 of its standard error
-and its arguments, then one line per command with the Newton engine's work,
-summed over every run of `optimize._descend`: points rephased, Newton and
--g directions, rejected line-search trials, and the runs that stopped at the
-gradient tolerance, with no lower value and at the iteration cap.  The last
-commands give a truth near T/2, non-finite shifts, malformed or missing
-files, a non-finite or zero bandwidth, gradient tolerance or period, and an
-all-zero weight file, so their exit codes and stderr hashes cover the error
-paths.  The work
-counts are deterministic, so two commits can be compared on work without
-timing noise.  The hashes depend on numpy's floating-point loops, which
-differ between CPUs, so compare two commits on one machine; no test runs
-this script.
+The default output is one `sha256  path` line per written file, sorted by
+path, then one line per command with its exit code, the SHA-256 of its
+standard error and its arguments, then one line per command with the Newton
+engine's work, summed over every run of `optimize._descend`: points
+rephased, Newton and -g directions, rejected line-search trials, and the runs
+that stopped at the gradient tolerance, with no lower value and at the
+iteration cap.  The last commands give a truth near T/2, non-finite shifts,
+malformed or missing files, a non-finite or zero bandwidth, gradient
+tolerance or period, and an all-zero weight file, so their exit codes and
+stderr hashes cover the error paths.  The work counts are deterministic, so
+two commits can be compared on work without timing noise.
+
+`--numbers` writes one tab-separated line per value instead, grouped by
+command directory and file and sorted by group: per command its exit code
+and arguments, its standard error text and its work line, then every value
+of every CSV and JSON file it wrote, keyed by data row and column (CSV) or
+by key path (JSON).  Numbers are written with `repr`; other values (labels,
+booleans, null, warning text) as JSON strings.  SVG files are left out.
+
+`--compare A B` reads two `--numbers` outputs and prints, per file, the
+count of numbers and the largest absolute and relative difference, where
+the relative difference divides by max(|a|, 1), so that values below 1 are
+compared absolutely.  Then it lists every non-numeric difference: an exit
+code, a standard error text, a work line, a text value, a value that is a
+number on one side only (NaN included) and a file or key on one side only.
+It exits 1 when there is such a difference or when a relative difference
+exceeds TOLERANCE (1e-12), else 0.
+
+The outputs depend on numpy's floating-point loops, which differ between
+CPUs, so compare two commits on one machine; no test runs this script.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import itertools
+import json
+import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from curveshift import optimize
-from curveshift.cli import main
-
 T = 2.0 * np.pi
 WEIGHTS = ("power:1.3", "unit", "power:2")
 COUNTS = ("rephased", "newton", "steepest", "rejected")
-STOPS = {optimize.TOLERANCE: "tolerance", optimize.NO_LOWER_VALUE: "no-lower-value",
-         optimize.ITERATION_CAP: "iteration-cap"}
+STOPS = ("tolerance", "no-lower-value", "iteration-cap")  # `optimize`'s stop codes 1, 2, 3
+TOLERANCE = 1e-12  # largest relative difference `--compare` accepts
 
 
 def sha256(data: bytes) -> str:
@@ -117,43 +138,192 @@ def commands() -> list[list[str]]:
     runs.append(["estimate", "--input", "wide-0.csv", "--period", "inf"])
     Path("zero.csv").write_text("l,delta\n1,0.0\n-1,0.0\n", encoding="utf-8")
     runs.append(["simulate", "--weights", "file:zero.csv"])
+    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "unit", "--grad-tol", "inf"])
     return runs
 
 
-def run() -> list[str]:
-    lines, files, work_lines = [], [], []
+def execute() -> list[tuple[str, list[str], int, str, str]]:
+    """Run every command: (output directory, argv, exit code, stderr text, work line)."""
+    from curveshift import optimize  # here, so that --compare runs without the package
+    from curveshift.cli import main
+
+    stops = dict(zip((optimize.TOLERANCE, optimize.NO_LOWER_VALUE, optimize.ITERATION_CAP),
+                     STOPS))
+    results = []
     descend, work = optimize._descend, {}
 
     def counted(*args):  # `optimize._descend`, adding each call's work to `work`
         runs = descend(*args)
         for name in COUNTS:
             work[name] += int(getattr(runs, name).sum())
-        for stop, name in STOPS.items():
+        for stop, name in stops.items():
             work[name] += int(np.sum(runs.stop == stop))
         return runs
 
     optimize._descend = counted
-    for k, argv in enumerate(commands()):
-        work.update(dict.fromkeys([*COUNTS, *STOPS.values()], 0))
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(argv + ["--output-dir", f"out-{k:03d}"])
-        lines.append(f"exit {code}  stderr {sha256(stderr.getvalue().encode())}  "
-                     f"out-{k:03d}  {' '.join(argv)}")
-        work_lines.append("work  " + "  ".join(f"{name} {n}" for name, n in work.items())
-                          + f"  out-{k:03d}")
-    for path in sorted(Path(".").rglob("out-*/**/*")):
-        if path.is_file():
-            files.append(f"{sha256(path.read_bytes())}  {path.as_posix()}")
+    try:
+        for k, argv in enumerate(commands()):
+            work.update(dict.fromkeys([*COUNTS, *STOPS], 0))
+            stderr = io.StringIO()
+            out = f"out-{k:03d}"
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv + ["--output-dir", out])
+            counts = "  ".join(f"{name} {n}" for name, n in work.items())
+            results.append((out, argv, code, stderr.getvalue(), counts))
+    finally:
+        optimize._descend = descend
+    return results
+
+
+def run() -> list[str]:
+    results = execute()
+    files = [f"{sha256(path.read_bytes())}  {path.as_posix()}"
+             for path in sorted(Path(".").rglob("out-*/**/*")) if path.is_file()]
+    lines = [f"exit {code}  stderr {sha256(err.encode())}  {out}  {' '.join(argv)}"
+             for out, argv, code, err, _ in results]
+    work_lines = [f"work  {counts}  {out}" for out, _, _, _, counts in results]
     return files + lines + work_lines
 
 
+# ---------------------------------------------------------------------------
+# --numbers: every value of every CSV and JSON output, one line each
+
+def cell(value) -> tuple[str, str]:
+    """("number", repr) for a number, else ("text", JSON string)."""
+    if isinstance(value, str):
+        try:
+            return "number", repr(float(value))
+        except ValueError:
+            return "text", json.dumps(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number", repr(float(value))
+    return "text", json.dumps(value)
+
+
+def json_values(node, key=""):
+    """(key path, value) of every leaf of a JSON document, keys joined by '.'."""
+    if isinstance(node, dict):
+        for name in sorted(node):
+            yield from json_values(node[name], f"{key}.{name}" if key else name)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from json_values(item, f"{key}.{i}" if key else str(i))
+    else:
+        yield key, node
+
+
+def file_values(path: Path):
+    """(key, value) of every value of a CSV or JSON file; CSV keys are row:column."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        yield from json_values(json.loads(text))
+        return
+    header, *rows = text.splitlines()
+    columns = header.split(",")
+    for i, row in enumerate(rows, start=1):
+        for column, value in zip(columns, row.split(",")):
+            yield f"{i}:{column}", value
+
+
+def numbers():
+    """The --numbers lines, one group per command directory and then per file, in
+    string order of the group names."""
+    for out, argv, code, err, counts in execute():
+        yield from (f"{out}\texit\ttext\t{code}", f"{out}\targv\ttext\t{json.dumps(argv)}",
+                    f"{out}\tstderr\ttext\t{json.dumps(err)}",
+                    f"{out}\twork\ttext\t{json.dumps(counts)}")
+        for name in sorted(p.as_posix() for p in Path(out).rglob("*") if p.is_file()):
+            if name.endswith((".csv", ".json")):
+                for key, value in file_values(Path(name)):
+                    kind, text = cell(value)
+                    yield f"{name}\t{key}\t{kind}\t{text}"
+
+
+# ---------------------------------------------------------------------------
+# --compare A B
+
+def groups(path: str):
+    """(group, {key: (kind, text)}) per command directory or file, in file order."""
+    with open(path, encoding="utf-8") as handle:
+        parsed = (line.rstrip("\n").split("\t", 3) for line in handle)
+        for group, rows in itertools.groupby(parsed, key=lambda row: row[0]):
+            yield group, {key: (kind, text) for _, key, kind, text in rows}
+
+
+def compare_group(a: dict, b: dict):
+    """(numbers compared, max absolute and max relative difference, the key of the
+    latter, non-numeric differences)."""
+    count, max_abs, max_rel, worst, diffs = 0, 0.0, 0.0, "", []
+    for key in a.keys() | b.keys():
+        if key not in a or key not in b:
+            diffs.append(f"{key}: only in {'A' if key in a else 'B'}")
+            continue
+        (kind_a, text_a), (kind_b, text_b) = a[key], b[key]
+        if kind_a == kind_b == "number":
+            x, y = float(text_a), float(text_b)
+            if math.isfinite(x) and math.isfinite(y):
+                count += 1
+                max_abs = max(max_abs, abs(x - y))
+                if abs(x - y) / max(abs(x), 1.0) > max_rel:
+                    max_rel, worst = abs(x - y) / max(abs(x), 1.0), key
+                continue
+            if x == y or (math.isnan(x) and math.isnan(y)):
+                continue
+        if (kind_a, text_a) != (kind_b, text_b):
+            diffs.append(f"{key}: {text_a} | {text_b}")
+    return count, max_abs, max_rel, worst, sorted(diffs)
+
+
+def compare(path_a: str, path_b: str) -> int:
+    side_a, side_b = groups(path_a), groups(path_b)
+    a, b = next(side_a, None), next(side_b, None)
+    differences = beyond = files = total = 0
+    print(f"{'file':40s} {'numbers':>8s} {'max_abs':>10s} {'max_rel':>10s}  at")
+    while a or b:
+        if b is None or (a is not None and a[0] < b[0]):
+            print(f"DIFF {a[0]}: only in A")
+            differences += 1
+            a = next(side_a, None)
+            continue
+        if a is None or b[0] < a[0]:
+            print(f"DIFF {b[0]}: only in B")
+            differences += 1
+            b = next(side_b, None)
+            continue
+        count, max_abs, max_rel, worst, diffs = compare_group(a[1], b[1])
+        if count:
+            files += 1
+            total += count
+            flag = "  BEYOND TOLERANCE" if max_rel > TOLERANCE else ""
+            beyond += bool(flag)
+            print(f"{a[0]:40s} {count:8d} {max_abs:10.3g} {max_rel:10.3g}  {worst}{flag}")
+        for diff in diffs:
+            print(f"DIFF {a[0]} {diff}")
+        differences += len(diffs)
+        a, b = next(side_a, None), next(side_b, None)
+    print(f"summary: {total} numbers in {files} files; {beyond} files beyond relative "
+          f"tolerance {TOLERANCE:g}; {differences} non-numeric differences")
+    return int(bool(beyond or differences))
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--numbers", action="store_true", help="write every number, not hashes")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare two --numbers outputs")
+    return p.parse_args(argv)
+
+
 if __name__ == "__main__":
+    args = parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            output = run()
+            for line in numbers() if args.numbers else run():
+                print(line)
         finally:
             os.chdir(home)
-    print("\n".join(output))
