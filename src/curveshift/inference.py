@@ -143,11 +143,8 @@ def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
     w2 = weights.half_squared  # each sum over l = -L..L is twice its half, as delta_0 = 0
     denom = 2.0 * np.sum(w2 * ls**2 * magnitudes_sq, axis=-1)
     numer = 2.0 * np.sum(w2**2 * ls**2 * magnitudes_sq, axis=-1)
-    # In Python floats: pow(d, 2) and numpy's d * d differ in the last bit
-    # for about one d in a thousand.
-    scalar = [u / d**2 if d > 0.0 else np.nan
-              for u, d in zip(np.ravel(numer).tolist(), np.ravel(denom).tolist())]
-    return np.reshape(scalar, np.shape(denom))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, numer / denom**2, np.nan)
 
 
 def _gamma(scalar: float, n_curves: int) -> np.ndarray:
@@ -162,11 +159,14 @@ def _gamma(scalar: float, n_curves: int) -> np.ndarray:
 
 
 def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
-    """Gamma matrix for given squared coefficient magnitudes |c_l|^2, l = -L..L."""
+    """Gamma matrix for squared coefficient magnitudes |c_l|^2, l = -L..L, even in l."""
     m = np.asarray(magnitudes_sq, dtype=float)
+    L = weights.max_frequency
     if m.shape != weights.values.shape:
         raise ValueError("magnitude vector does not match the weight range")
-    return _gamma(float(_gamma_scalar(m[weights.max_frequency:], weights)), n_curves)
+    if not np.allclose(m[:L], m[:L:-1], rtol=0.0, atol=1e-12 * np.max(np.abs(m))):
+        raise ValueError("magnitudes are not even in l: |c_-l|^2 differs from |c_l|^2")
+    return _gamma(float(_gamma_scalar(m[L:], weights)), n_curves)
 
 
 def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):

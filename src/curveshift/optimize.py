@@ -26,8 +26,8 @@ There is one Newton engine, `_descend`: it runs P problems at once, every
 start of every table of a stack (R, J, L+1), and `minimize` runs it on a
 stack of one table.  Each problem keeps its own step, line search, iteration
 count and stop, so its path is the one it would take alone; the problems
-share each rephase, value, gradient, Hessian and Cholesky call.  A `Descent`
-record holds each run's end point, stop reason and work counts.
+share each rephase, value, gradient, Hessian, Cholesky and solve call.  A
+`Descent` record holds each run's end point, stop reason and work counts.
 """
 
 from __future__ import annotations
@@ -183,52 +183,26 @@ def _starts(ctx: CriterionContext) -> np.ndarray:
     return np.stack(starts, axis=1)
 
 
-TRIANGLE_BLOCK = 64  # rows per diagonal block of a triangular solve
-
-
-def _forward_substitute(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} b for lower-triangular L in O(k^2), over leading stack axes: one
-    dense solve per diagonal block of at most TRIANGLE_BLOCK rows, each
-    followed by a matrix-vector update of the rows below it."""
-    y = np.array(b, dtype=float)
-    for lo in range(0, y.shape[-1], TRIANGLE_BLOCK):
-        hi = lo + TRIANGLE_BLOCK
-        y[..., lo:hi] = np.linalg.solve(L[..., lo:hi, lo:hi], y[..., lo:hi, None])[..., 0]
-        y[..., hi:] -= (L[..., hi:, lo:hi] @ y[..., lo:hi, None])[..., 0]
-    return y
-
-
 def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d, g.d, steep) per row of H (P, k, k) and g (P, k): the Newton step
-    -H^{-1} g when H has a Cholesky factor and the step descends, else -g,
-    which `steep` marks.
-
-    The factor is read from H's upper triangle, as LAPACK's dpotrf with
-    uplo='U' reads it: H.T = L L^T, L lower triangular.  One call factors
-    every row, unless some H is not positive definite; then the rows are
-    factored one by one.  The step solves L y = g, then L^T x = y as a
-    forward substitution on L^T with rows and columns reversed.
-    """
-    Ht = np.swapaxes(H, -1, -2)
+    -H^{-1} g when H is positive definite and the step descends, else -g,
+    which `steep` marks.  Cholesky is only the positive-definiteness test: one
+    call tests every row, then the rows one by one when some row fails."""
     newton = np.ones(len(H), dtype=bool)
     try:
-        L = np.linalg.cholesky(Ht)
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        L = np.empty_like(H)
-        for i, h in enumerate(Ht):
+        for i, h in enumerate(H):
             try:
-                L[i] = np.linalg.cholesky(h)
+                np.linalg.cholesky(h)
             except np.linalg.LinAlgError:
                 newton[i] = False
-        L = L[newton]
     d = -g
-    Lt = np.swapaxes(L, -1, -2)[..., ::-1, ::-1]
-    d[newton] = -_forward_substitute(Lt, _forward_substitute(L, g[newton])[..., ::-1])[..., ::-1]
-    # One dot product per row: the line search's Armijo test reads its bits.
-    gd = np.array([float(np.dot(gi, di)) for gi, di in zip(g, d)])
+    d[newton] = -np.linalg.solve(H[newton], g[newton][..., None])[..., 0]
+    gd = np.einsum("pk,pk->p", g, d)
     steep = ~(newton & (gd < 0.0))
     d[steep] = -g[steep]
-    gd[steep] = [-float(np.dot(gi, gi)) for gi in g[steep]]
+    gd[steep] = -np.einsum("pk,pk->p", g[steep], g[steep])
     return d, gd, steep
 
 
@@ -239,9 +213,9 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
     stack.  Each row keeps its own step, line search, Newton-or-steepest-
     descent choice, iteration count and stop, so its run and work counts are
     the ones it would have alone; the rows share each rephase, value,
-    gradient, Hessian and Cholesky call.  A trial point is accepted when its
-    value is strictly lower and passes the Armijo test.  A row whose search
-    finds none stops with no lower value: after 80 halvings, or once a
+    gradient, Hessian, Cholesky and solve call.  A trial point is accepted
+    when its value is strictly lower and passes the Armijo test.  A row whose
+    search finds none stops with no lower value: after 80 halvings, or once a
     rejected trial x + step d rounds to x, as every shorter step would too.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period

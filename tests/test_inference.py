@@ -138,6 +138,17 @@ class TestGamma:
         scalar = gamma_from_power(m, unit, 3)[0, 1]
         assert scalar == pytest.approx(1.0 / np.sum(ls**2 * m), rel=1e-12)
 
+    def test_power_must_be_even_in_l(self):
+        # Real curves have |c_-l|^2 = |c_l|^2.  A vector that is not even in
+        # l is rejected rather than read from its l >= 0 half alone; an
+        # asymmetry at rounding level is accepted.
+        w = WeightScheme.power(1.3, 3)
+        m = np.array([0.5, 2.0, 4.0, 1.0, 4.0, 2.0, 0.5])
+        nudged = m * (1.0 + 1e-13 * np.arange(7))
+        assert np.allclose(gamma_from_power(nudged, w, 3), gamma_from_power(m, w, 3), rtol=1e-11)
+        with pytest.raises(ValueError, match="not even in l"):
+            gamma_from_power(np.concatenate([[100.0, 7.0, 3.0], m[3:]]), w, 3)
+
 
 class TestConfidenceIntervals:
     def test_half_width_arithmetic(self):

@@ -531,22 +531,47 @@ def newton_direction(H, g):
     return d[0], gd[0], steep[0]
 
 
+def engine_hessians(pattern, n_curves, replicates):
+    """H (R, J-1, J-1) and g (R, J-1) of a power:1.3 study block at its scan starts."""
+    spec = SimulationSpec(pattern=pattern, n_curves=n_curves, n_samples=401, sigma=0.5,
+                          replicates=replicates, seed=3)
+    tables = [transform(generate(spec, r).curves) for r in range(replicates)]
+    table = SpectralTable(np.stack([t.coeffs for t in tables]), T)
+    ctx = CriterionContext(table, spec.weights)
+    x0 = optimize._starts(ctx)[:, 0]
+    ct = rephase(table, criterion.full_phases(x0, n_curves)).coeffs
+    return criterion._hessian(ctx, ct), criterion._gradient(ctx, ct)
+
+
+def random_hessian(k):
+    """A stack of one symmetric positive definite k x k matrix, and a gradient."""
+    rng = np.random.default_rng(k)
+    A = rng.standard_normal((k, k))
+    H = A @ A.T / k + 0.1 * np.eye(k)
+    return (H + H.T)[None] / 2.0, rng.standard_normal((1, k))
+
+
+ENGINE_HESSIANS = {"cosine-J5-block": ("cosine", 5, 10), "sinc15-J30": ("sinc15", 30, 1)}
+
+
 class TestNewtonDirection:
-    @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200, 999])
+    @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200, 999, *ENGINE_HESSIANS])
     def test_matches_cho_solve(self, k):
-        # Only the upper triangle is read, as by LAPACK's dpotrf with
-        # uplo='U': the lower one is overwritten with noise.
+        # Random symmetric H, and the engine's own Hessians at the scan starts
+        # of a study-cosine block and of a J = 30 table: those are symmetric
+        # only up to rounding, and the solve reads all of H, yet it agrees
+        # with a solve from H's upper triangle alone.
         from scipy.linalg import cho_factor, cho_solve
 
-        rng = np.random.default_rng(k)
-        A = rng.standard_normal((k, k))
-        H = A @ A.T / k + 0.1 * np.eye(k)
-        H[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
-        g = rng.standard_normal(k)
-        d, gd, steep = newton_direction(H, g)
-        expected = -cho_solve(cho_factor(H, lower=False), g)
-        assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert gd == float(np.dot(g, d)) and gd < 0.0 and not steep
+        engine = k in ENGINE_HESSIANS
+        H, g = engine_hessians(*ENGINE_HESSIANS[k]) if engine else random_hessian(k)
+        tol = 1e-12 if engine else 1e-13
+        d, gd, steep = optimize._newton_directions(H, g)
+        for Hr, gr, dr in zip(H, g, d):
+            expected = -cho_solve(cho_factor(Hr, lower=False), gr)
+            assert np.max(np.abs(dr - expected)) <= tol * np.max(np.abs(expected))
+        assert np.array_equal(gd, np.einsum("pk,pk->p", g, d))
+        assert np.all(gd < 0.0) and not steep.any()
 
     def test_steepest_descent_without_factor(self):
         g = np.array([1.0, -2.0, 3.0])
@@ -575,7 +600,7 @@ class TestNewtonDirection:
         d, gd, steep = optimize._newton_directions(H, g)
         assert np.array_equal(steep, [False, False, True, True])
         assert np.array_equal(d[2:], -g[2:]) and np.all(gd[:2] < 0.0)
-        assert gd[2] == -float(np.dot(g[2], g[2])) and gd[3] == 0.0
+        assert gd[2] == pytest.approx(-np.dot(g[2], g[2]), rel=1e-15) and gd[3] == 0.0
 
 
 class TestOptimizerConfig:

@@ -246,6 +246,17 @@ class TestTheoreticalGamma:
         expected = 2.0 * (np.eye(4) + np.ones((4, 4)))
         assert np.allclose(gamma, expected, rtol=1e-10)
 
+    @pytest.mark.parametrize("pattern", ["sinc15", "cosine", "custom"])
+    def test_true_power_is_even(self, pattern):
+        # gamma_from_power rejects |c_l|^2 that is not even in l; the exact
+        # coefficients of real patterns pass its test.
+        if pattern == "custom":
+            pattern = np.random.default_rng(4).standard_normal(101)
+        spec = SimulationSpec(pattern=pattern, n_curves=3, n_samples=101)
+        m = np.abs(true_coefficients(spec)) ** 2
+        assert np.max(np.abs(m - m[::-1])) <= 1e-15 * np.max(m)
+        assert np.all(np.isfinite(theoretical_gamma(spec)))
+
 
 class TestRunStudy:
     def test_single_frequency_variance(self):

@@ -42,7 +42,8 @@ It exits 1 when there is such a difference or when a relative difference
 exceeds TOLERANCE (1e-12), else 0.
 
 The outputs depend on numpy's floating-point loops, which differ between
-CPUs, so compare two commits on one machine; no test runs this script.
+CPUs, so compare two commits on one machine.  `tests/test_output_manifest.py`
+runs `--compare` on small hand-made files; no test runs the commands.
 """
 
 from __future__ import annotations
