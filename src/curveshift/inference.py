@@ -21,8 +21,8 @@ The plug-in Gamma keeps the exact scalar * (I + U) structure.  Both
 estimates read the l = 0..L table that the optimizer rephased at alpha_hat,
 one (`confidence_intervals`) or a study's stack (`interval_half_widths`).
 
-The normal quantile z is `_ndtri`, a numpy port of the Cephes routine,
-which `simulate` also uses to turn uniforms into Gaussian noise.
+The normal quantile z is the standard library's
+`statistics.NormalDist().inv_cdf`.
 """
 
 from __future__ import annotations
@@ -40,88 +40,6 @@ __all__ = [
     "interval_half_widths",
     "confidence_intervals",
 ]
-
-# Cephes ndtri: rational approximations of the inverse normal cdf on
-# |p - 1/2| <= 1/2 - exp(-2) (P0/Q0), and in the tails on x = sqrt(-2 log p)
-# for x < 8 (P1/Q1) and x >= 8 (P2/Q2).  Q coefficients omit the leading 1.
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_S2PI = 2.50662827463100050242  # sqrt(2 pi)
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
-       1.39312609387279679503e1, -1.23916583867381258016)
-_Q0 = (1.95448858338141759834, 4.67627912898881538453, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
-       1.59056225126211695515e1, -1.18331621121330003142)
-_P1 = (4.05544892305962419923, 3.15251094599893866154e1, 5.71628192246421288162e1,
-       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979, -1.42182922854787788574e-1,
-       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970, 6.91522889068984211695, 3.93881025292474443415,
-       1.33303460815807542389, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (6.02427039364742014255, 3.67983563856160859403, 1.37702099489081330271,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
-
-
-def _horner(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
-    """Cephes polevl (coefs[0] leads), or p1evl when monic (an implicit leading 1).
-
-    One new array; every later step is in place.
-    """
-    if monic:
-        y, rest = x + coefs[0], coefs[1:]
-    else:
-        y, rest = x * coefs[0], coefs[2:]
-        y += coefs[1]
-    for c in rest:
-        y *= x
-        y += c
-    return y
-
-
-def _ndtri(p):
-    """Inverse of the standard normal cdf, elementwise: Cephes ndtri in numpy.
-
-    The branch tests, constants and evaluation order are those of Cephes, so
-    the central branch (exp(-2) < p < 1 - exp(-2)) reproduces scipy's
-    `special.ndtri` bit for bit.  The tails take numpy's `log`, which can
-    differ from the C library's in the last bit; the difference x0 - x1 can
-    grow that to a few ulps of the result.  Returns -inf at 0, inf at 1 and
-    NaN outside [0, 1].
-    """
-    p = np.asarray(p, dtype=float)
-    flat = p.ravel()
-    upper = flat > 1.0 - _EXP_M2
-    y = np.subtract(1.0, flat, out=flat.copy(), where=upper)
-    tail = np.flatnonzero(~(y > _EXP_M2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # The central formula, (c + c (c2 P0/Q0)) sqrt(2 pi), runs on every
-        # entry, in place where it can: gathering the central entries and
-        # allocating each temporary cost more.  Tail entries are overwritten.
-        c = y - 0.5
-        c2 = c * c
-        out = _horner(c2, _P0)
-        out *= c2
-        out /= _horner(c2, _Q0, True)
-        out *= c
-        out += c
-        out *= _S2PI
-        x = np.sqrt(-2.0 * np.log(y[tail]))
-        x0 = x - np.log(x) / x
-        z = 1.0 / x
-        x1 = z * _horner(z, _P1) / _horner(z, _Q1, True)
-        far = ~(x < 8.0)  # p < exp(-32), or p at 0 or 1
-        zf = z[far]
-        x1[far] = zf * _horner(zf, _P2) / _horner(zf, _Q2, True)
-    x = x0 - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    out[flat == 0.0] = -np.inf
-    out[flat == 1.0] = np.inf
-    out[(flat < 0.0) | (flat > 1.0)] = np.nan
-    return out.reshape(p.shape)[()]
-
 
 @dataclass(frozen=True)
 class CovarianceReport:
@@ -182,7 +100,12 @@ def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
     sigma2 = (D[..., 0] + 2.0 * D[..., 1:].sum(axis=-1)) / (J - 1)
     power = np.maximum(np.abs(mean[..., 0, :]) ** 2 - np.asarray(sigma2)[..., None] / (n * J), 0.0)
     scalar = _gamma_scalar(power, weights)
-    return sigma2, scalar, np.sqrt(sigma2 * (scalar * 2.0) / n), _ndtri(0.5 * (1.0 + level))
+    # Imported here: `statistics` pulls in `fractions` and `decimal`, a few ms
+    # that every CLI launch would otherwise pay.
+    from statistics import NormalDist
+
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
+    return sigma2, scalar, np.sqrt(sigma2 * (scalar * 2.0) / n), z
 
 
 def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):

@@ -18,9 +18,10 @@ Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
 direction, otherwise steepest descent -g, and a backtracking line search
 enforces sufficient decrease and accepts only strictly lower values, so a run
 at the rounding floor of the contrast ends instead of stepping between equal
-values.  Coordinates are wrapped, not clamped: the contrast is exactly
-2pi-periodic in every coordinate, so wrapping preserves values while keeping
-iterates in the principal box.
+values.  Only a run's last step, at the gradient tolerance, is checked on
+max|g| instead (`_descend`).  Coordinates are wrapped, not clamped: the
+contrast is exactly 2pi-periodic in every coordinate, so wrapping preserves
+values while keeping iterates in the principal box.
 
 There is one Newton engine, `_descend`: it runs P problems at once, every
 start of every table of a stack (R, J, L+1), and `minimize` runs it on a
@@ -44,6 +45,7 @@ __all__ = ["OptimizerConfig", "EstimationResult", "minimize"]
 
 CONTRACTION = 0.5  # line-search step factor per rejected trial
 SUFFICIENT_DECREASE = 1e-4  # Armijo constant: accept f_try <= f + c * step * g.d
+FINAL_STEP = 1.5e-8  # rad, ~sqrt(eps): a converged run's longest untaken Newton step
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,9 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
     when its value is strictly lower and passes the Armijo test.  A row whose
     search finds none stops with no lower value: after 80 halvings, or once a
     rejected trial x + step d rounds to x, as every shorter step would too.
+    A row that meets the (absolute) gradient tolerance below its cap with a
+    Newton step still longer than FINAL_STEP tries that full step: kept as an
+    iteration, or dropped as a rejected trial when it raises max|g|.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
@@ -239,6 +244,22 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
         stop[done[iters[done] >= config.max_iterations]] = ITERATION_CAP
         stop[done[np.isnan(gmax[done])]] = NO_LOWER_VALUE
         stop[done[gmax[done] <= config.gradient_tolerance]] = TOLERANCE
+        met = done[(stop[done] == TOLERANCE) & (iters[done] < config.max_iterations)]
+        if met.size:
+            d, _, steep = _newton_directions(_hessian(ctx, ct[met]), g[met])
+            far = ~steep & (np.max(np.abs(d), axis=-1) > FINAL_STEP)
+            p = met[far]
+            if p.size:
+                x_try = wrap_phase(x[p] + d[far])
+                ct_try = rephased(p, x_try)
+                f_try = _value(ctx, ct_try)
+                gmax_try = np.max(np.abs(_gradient(ctx, ct_try)), axis=-1)
+                ok = gmax_try <= gmax[p]
+                q = p[ok]
+                x[q], f[q], ct[q], gmax[q] = x_try[ok], f_try[ok], ct_try[ok], gmax_try[ok]
+                newton[p] += 1
+                iters[q] += 1
+                rejected[p[~ok]] += 1
         rows = np.flatnonzero(stop == RUNNING)
         if not rows.size:
             return Descent(x, f, iters, gmax, ct, stop, newton, steepest, rejected)

@@ -3,18 +3,17 @@
 Replicates draw shifts uniformly on [-pi/4, pi/4] (first curve pinned at 0),
 evaluate the chosen pattern at the shifted grid times and add white Gaussian
 noise.  Randomness comes from a counter-based Philox stream keyed by
-(seed, replicate_index), so any replicate can be regenerated independently
-and studies are reproducible bit for bit; normal deviates are produced by
-applying the inverse normal cdf to uniforms, which keeps the generation
-contract portable.  The inverse cdf is `inference._ndtri`, a numpy port of
-Cephes ndtri: on the central branch it equals scipy's `special.ndtri` bit
-for bit, and in the tails its last bits follow numpy's `log`.
+(seed, replicate_index), so any replicate can be regenerated independently.
+Each stream gives the replicate's shifts first and then its noise, from
+`Generator.standard_normal`.  numpy does not promise to keep `Generator`'s
+algorithms across versions, so studies are reproducible bit for bit for a
+given numpy version.
 
 A study stacks its replicates in blocks of at most STUDY_BLOCK table entries
-and processes each block in one pass: one `_ndtri` call, one transform, one
-start scan, one stacked Newton run (`optimize`), whose tables rephased at
-the optima also give the intervals, and one landmark smoothing of that same
-table.  Each replicate gets the numbers it would get alone.
+and processes each block in one pass: one transform, one start scan, one
+stacked Newton run (`optimize`), whose tables rephased at the optima also
+give the intervals, and one landmark smoothing of that same table.  Each
+replicate gets the numbers it would get alone.
 
 A study aggregates the shift estimates over replicates: bias, the empirical
 covariance of the sqrt(n)-scaled errors, confidence-interval coverage, and
@@ -35,7 +34,7 @@ import numpy as np
 from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import (CurveSet, SpectralTable, WeightScheme, _require_period, forward_dft,
                       inverse_dft, rephase, transform)
-from .inference import _ndtri, gamma_from_power, interval_half_widths
+from .inference import gamma_from_power, interval_half_widths
 from .landmark import LandmarkConfig, _spectrum_shifts
 from .optimize import OptimizerConfig, _minimize_tables
 
@@ -143,37 +142,30 @@ def _replicate_rng(seed: int, replicate_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    # 53-bit uniforms strictly inside (0, 1), for inverse-cdf normal sampling.
-    return (rng.integers(0, 1 << 53, size=shape, dtype=np.uint64) + 0.5) * 2.0**-53
-
-
 def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Samples (B, J, n), shifts theta (B, J) and phases alpha (B, J) of replicates.
 
-    Each replicate draws its shifts and then its uniforms from its own
-    Philox stream; the normal quantile and the pattern are then evaluated
-    once for the whole block.  The quantile is `inference._ndtri`, the numpy
-    port of Cephes ndtri, whose tail bits follow numpy's `log`.
+    Each replicate draws its shifts and then its standard normal noise from
+    its own Philox stream; the pattern is then evaluated once for the whole
+    block.
     """
     J, n, T = spec.n_curves, spec.n_samples, spec.period
     B = len(indices)
     theta = np.zeros((B, J)) if spec.shifts is None else np.tile(spec.shifts, (B, 1))
-    u = np.empty((B, J, n)) if spec.sigma > 0 else None
+    noise = np.zeros((B, J, n))
     for b, r in enumerate(indices):
         rng = _replicate_rng(spec.seed, r)
         if spec.shifts is None:
             theta[b, 1:] = (rng.random(J - 1) - 0.5) * (np.pi / 2.0)
-        if u is not None:
-            u[b] = _uniforms(rng, (J, n))
+        if spec.sigma > 0:
+            noise[b] = rng.standard_normal((J, n))
     alpha = theta * (2.0 * np.pi / T)  # identity when T = 2 pi
     if isinstance(spec.pattern, str):
         clean = PATTERNS[spec.pattern](spec.times - theta[..., None], T)
     else:
         pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
         clean = inverse_dft(rephase(pattern, -alpha).coeffs)
-    noise = spec.sigma * _ndtri(u) if u is not None else 0.0
-    return clean + noise, theta, alpha
+    return clean + spec.sigma * noise, theta, alpha
 
 
 def generate(spec: SimulationSpec, replicate_index: int) -> Replicate:

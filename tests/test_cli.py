@@ -815,3 +815,13 @@ class TestImportCost:
                              check=True, capture_output=True, text=True).stdout
         assert out.splitlines() == ["import []", "estimate []", "simulate []",
                                     "compare-landmark []"]
+
+    def test_launch_does_not_import_statistics(self):
+        # `statistics` pulls in `fractions` and `decimal`, several ms per
+        # launch; only an interval's z needs it, so it is imported there.
+        src = Path(curveshift.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        script = "import sys\nimport curveshift.cli\nprint('statistics' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["False"]

@@ -156,10 +156,9 @@ class TestGenerate:
         assert abs(noise.mean()) < 3 * 2.0 / np.sqrt(m)
         assert abs(noise.var() - 4.0) < 3 * 4.0 * np.sqrt(2.0 / m)
 
-    def test_noise_is_ndtri_of_the_uniforms(self):
-        # Each replicate's stream gives its shifts, then its (J, n) uniforms;
-        # the noise is sigma * the package's normal quantile of those
-        # uniforms, bit for bit.
+    def test_noise_is_standard_normal_of_the_stream(self):
+        # Each replicate's stream gives its J - 1 shifts, then its (J, n)
+        # standard normals; the noise is sigma times those, bit for bit.
         spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=51, sigma=2.0,
                               replicates=3, seed=11)
         samples, theta, _ = simulate._draw(spec, range(3))
@@ -168,8 +167,8 @@ class TestGenerate:
         for r in range(3):
             rng = simulate._replicate_rng(spec.seed, r)
             rng.random(spec.n_curves - 1)
-            u = simulate._uniforms(rng, (spec.n_curves, spec.n_samples))
-            assert np.array_equal(samples[r], clean[r] + spec.sigma * inference._ndtri(u))
+            noise = rng.standard_normal((spec.n_curves, spec.n_samples))
+            assert np.array_equal(samples[r], clean[r] + spec.sigma * noise)
 
     def test_custom_pattern_spectral_shift(self):
         # A custom sampled pattern is shifted in the frequency domain; for a
@@ -308,16 +307,22 @@ class TestRunStudy:
         assert 0.0 < np.max(np.abs(summary.bias)) < 1e-5
 
     def test_weighted_grid_minimum_near_pi_third_at_high_noise(self):
-        # One sigma = 7 realization (seed chosen in development): the damped
-        # criterion on the 629-point grid keeps a unique global minimum near
-        # the true phase difference pi/3.
+        # At sigma = 7 the damped criterion's minimum on the 629-point grid
+        # lies within 0.1 of the true phase difference pi/3 on 0.4725 of
+        # replicate 0 of seeds 0..399 (measured with inverse-cdf noise); the
+        # bound lies 4 binomial standard errors of this sample below that
+        # rate.  A study reports its Newton optimum, not the grid profile, so
+        # the replicates are drawn one by one.
+        R, rate = 200, 0.4725
         spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, sigma=7.0,
-                              shifts=np.array([0.0, np.pi / 3]), replicates=1, seed=4)
-        rep = generate(spec, 0)
-        ctx = CriterionContext(transform(rep.curves), spec.weights)
+                              shifts=np.array([0.0, np.pi / 3]), replicates=R, seed=4)
         grid = np.linspace(-np.pi, np.pi, 629)
-        prof = grid_profile(ctx, grid)
-        assert abs(grid[np.argmin(prof)] - np.pi / 3) < 0.1
+        near = np.mean([
+            abs(grid[np.argmin(grid_profile(
+                CriterionContext(transform(generate(spec, r).curves), spec.weights), grid))]
+                - np.pi / 3) < 0.1
+            for r in range(R)])
+        assert near > rate - 4.0 * np.sqrt(rate * (1.0 - rate) / R)
 
     @staticmethod
     def _two_curve_coverage(shift, sigma, replicates):
@@ -327,9 +332,11 @@ class TestRunStudy:
 
     def test_coverage_is_scored_on_the_circle(self):
         # A shift one period on is the same truth, drawn with the same noise.
-        near = self._two_curve_coverage(1.0, 0.5, 40)
+        # With 200 replicates at a true coverage near 0.958, coverage falls
+        # to 0.9 or below with probability under 1e-3.
+        near = self._two_curve_coverage(1.0, 0.5, 200)
         assert near > 0.9
-        assert self._two_curve_coverage(1.0 + T, 0.5, 40) == near
+        assert self._two_curve_coverage(1.0 + T, 0.5, 200) == near
 
     def test_coverage_near_half_period_as_near_zero(self):
         # Estimates of a truth near T/2 wrap to the other end of the circle.
