@@ -34,7 +34,7 @@ from .criterion import CriterionContext, check_identifiability, grid_profile
 from .fourier import CurveSet, WeightScheme, synthesize, transform
 from .inference import confidence_intervals
 from .landmark import LandmarkConfig, landmark_shifts
-from .optimize import OptimizerConfig, minimize
+from .optimize import NO_LOWER_VALUE, OptimizerConfig, minimize
 from .simulate import PATTERNS, SimulationSpec, generate, run_study
 
 SCHEMA_VERSION = 1
@@ -282,8 +282,7 @@ def _checked(make, **kwargs):
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return _checked(OptimizerConfig, max_iterations=args.max_iters,
-                    gradient_tolerance=args.grad_tol)
+    return _checked(OptimizerConfig, max_iterations=args.max_iters)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +303,9 @@ def _fit(args, curves: CurveSet, config: OptimizerConfig, warnings: list[str]):
             _warn(warnings, f"identifiability: {ident.message}")
         result = minimize(ctx, config)
         if not result.converged:
-            _warn(warnings, f"optimizer did not reach the gradient tolerance in "
-                            f"{result.iterations} iterations")
+            reason = "no lower value" if result.stop == NO_LOWER_VALUE else "iteration cap"
+            _warn(warnings, f"optimizer did not converge in {result.iterations} "
+                            f"iterations ({reason})")
     except ValueError as exc:
         raise StageError("estimation", str(exc), _EXIT_ESTIMATION) from exc
     return table, weights, ident, result
@@ -539,7 +539,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="power:<beta> | unit | file:<path> (simulate: comma list)")
     p.add_argument("--confidence", type=float)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--grad-tol", type=float, default=1e-8)
 
 
 def _add_simulation(p: argparse.ArgumentParser) -> None:

@@ -20,7 +20,7 @@ standard convention is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -171,13 +171,25 @@ class WeightScheme:
             kind="unit",
             fluctuation_warning=(
                 "unit weights violate the fluctuation assumptions; the "
-                "asymptotic normality of the shift estimator does not hold"
+                "asymptotic normality of the shift estimator does not hold, and "
+                "the reported standard errors and confidence intervals are not valid"
             ),
         )
 
     @classmethod
     def custom(cls, values) -> "WeightScheme":
-        return cls(values=np.asarray(values, dtype=float), kind="custom")
+        """Weights as given.  Flagged, as unit and power <= 1.25 are, when they
+        reach the top frequency L and decay no faster than |l|**-1.25 from the
+        first l1 >= 1 with delta > 0: delta_L L**1.25 >= delta_l1 l1**1.25."""
+        weights = cls(values=values, kind="custom")
+        L, half = weights.max_frequency, weights.values[weights.max_frequency:]
+        ls = np.flatnonzero(half)  # the l with delta_l > 0; never 0
+        if ls.size and ls[-1] == L and half[L] * L**1.25 >= half[ls[0]] * ls[0]**1.25:
+            return replace(weights, fluctuation_warning=(
+                "custom weights reach the top frequency and decay no faster than "
+                "|l|^-1.25; they are not guaranteed to satisfy the fluctuation "
+                "conditions for square-integrable patterns"))
+        return weights
 
 
 def _require_period(period: float) -> None:

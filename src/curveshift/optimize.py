@@ -18,8 +18,9 @@ Nocedal and Wright, *Numerical Optimization*, chapters 3 and 6: the step is
 direction, otherwise steepest descent -g, and a backtracking line search
 enforces sufficient decrease and accepts only strictly lower values, so a run
 at the rounding floor of the contrast ends instead of stepping between equal
-values.  Only a run's last step, at the gradient tolerance, is checked on
-max|g| instead (`_descend`).  Coordinates are wrapped, not clamped: the
+values.  A run converges where H is positive definite and its Newton step, in
+radians and so free of the curves' amplitude, is at most FINAL_STEP (Dennis and
+Schnabel 1983, section 7.2).  Coordinates are wrapped, not clamped: the
 contrast is exactly 2pi-periodic in every coordinate, so wrapping preserves
 values while keeping iterates in the principal box.
 
@@ -51,13 +52,10 @@ FINAL_STEP = 1.5e-8  # rad, ~sqrt(eps): a converged run's longest untaken Newton
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iterations: int = 500
-    gradient_tolerance: float = 1e-8  # max-norm
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not (np.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0):
-            raise ValueError("gradient_tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -69,6 +67,7 @@ class EstimationResult:
     criterion_value: float
     iterations: int
     converged: bool
+    stop: int  # the run's `Descent.stop` code
     gradient_max: float
     aligned: SpectralTable  # the input table rephased at alpha_hat
 
@@ -185,11 +184,12 @@ def _starts(ctx: CriterionContext) -> np.ndarray:
     return np.stack(starts, axis=1)
 
 
-def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d, g.d, steep) per row of H (P, k, k) and g (P, k): the Newton step
-    -H^{-1} g when H is positive definite and the step descends, else -g,
-    which `steep` marks.  Cholesky is only the positive-definiteness test: one
-    call tests every row, then the rows one by one when some row fails."""
+def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d, g.d, steep, length) per row of H (P, k, k) and g (P, k): the Newton
+    step -H^{-1} g when H is positive definite and the step descends, else -g,
+    which `steep` marks; `length` is max|H^{-1} g| where H is positive definite,
+    else inf.  Cholesky is only the positive-definiteness test: one call tests
+    every row, then the rows one by one when some row fails."""
     newton = np.ones(len(H), dtype=bool)
     try:
         np.linalg.cholesky(H)
@@ -201,11 +201,12 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.nda
                 newton[i] = False
     d = -g
     d[newton] = -np.linalg.solve(H[newton], g[newton][..., None])[..., 0]
+    length = np.where(newton, np.max(np.abs(d), axis=-1), np.inf)
     gd = np.einsum("pk,pk->p", g, d)
     steep = ~(newton & (gd < 0.0))
     d[steep] = -g[steep]
     gd[steep] = -np.einsum("pk,pk->p", g[steep], g[steep])
-    return d, gd, steep
+    return d, gd, steep, length
 
 
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> Descent:
@@ -215,13 +216,14 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
     stack.  Each row keeps its own step, line search, Newton-or-steepest-
     descent choice, iteration count and stop, so its run and work counts are
     the ones it would have alone; the rows share each rephase, value,
-    gradient, Hessian, Cholesky and solve call.  A trial point is accepted
-    when its value is strictly lower and passes the Armijo test.  A row whose
-    search finds none stops with no lower value: after 80 halvings, or once a
-    rejected trial x + step d rounds to x, as every shorter step would too.
-    A row that meets the (absolute) gradient tolerance below its cap with a
-    Newton step still longer than FINAL_STEP tries that full step: kept as an
-    iteration, or dropped as a rejected trial when it raises max|g|.
+    gradient, Hessian, Cholesky and solve call.  At each new point (a start or
+    an accepted step) a row converges (TOLERANCE) when H is positive definite
+    and the Newton step's max-norm is at most FINAL_STEP; else it stops at its
+    iteration cap, or searches: a trial point is accepted when its value is
+    strictly lower and passes the Armijo test.  A row whose search finds none,
+    or whose gradient is NaN, stops with no lower value; a search ends after
+    80 halvings, or once a rejected trial x + step d rounds to x, as every
+    shorter step would too.
     """
     coeffs, period = ctx.table.coeffs, ctx.table.period
     x = wrap_phase(x0)
@@ -240,33 +242,18 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
     while True:
         g[done] = _gradient(ctx, ct[done])
         gmax[done] = np.max(np.abs(g[done]), axis=-1)
-        # The last rule that holds wins: tolerance, NaN gradient (no lower value), cap.
-        stop[done[iters[done] >= config.max_iterations]] = ITERATION_CAP
         stop[done[np.isnan(gmax[done])]] = NO_LOWER_VALUE
-        stop[done[gmax[done] <= config.gradient_tolerance]] = TOLERANCE
-        met = done[(stop[done] == TOLERANCE) & (iters[done] < config.max_iterations)]
-        if met.size:
-            d, _, steep = _newton_directions(_hessian(ctx, ct[met]), g[met])
-            far = ~steep & (np.max(np.abs(d), axis=-1) > FINAL_STEP)
-            p = met[far]
-            if p.size:
-                x_try = wrap_phase(x[p] + d[far])
-                ct_try = rephased(p, x_try)
-                f_try = _value(ctx, ct_try)
-                gmax_try = np.max(np.abs(_gradient(ctx, ct_try)), axis=-1)
-                ok = gmax_try <= gmax[p]
-                q = p[ok]
-                x[q], f[q], ct[q], gmax[q] = x_try[ok], f_try[ok], ct_try[ok], gmax_try[ok]
-                newton[p] += 1
-                iters[q] += 1
-                rejected[p[~ok]] += 1
-        rows = np.flatnonzero(stop == RUNNING)
-        if not rows.size:
-            return Descent(x, f, iters, gmax, ct, stop, newton, steepest, rejected)
+        rows = done[stop[done] == RUNNING]
         H = _hessian(ctx, ct[rows])
         if not np.all(np.isfinite(H)):
             raise ValueError("estimation failed: the Hessian is not finite")
-        d, gd, steep = _newton_directions(H, g[rows])
+        d, gd, steep, length = _newton_directions(H, g[rows])
+        stop[rows[iters[rows] >= config.max_iterations]] = ITERATION_CAP
+        stop[rows[length <= FINAL_STEP]] = TOLERANCE
+        going = stop[rows] == RUNNING
+        if not going.any():
+            return Descent(x, f, iters, gmax, ct, stop, newton, steepest, rejected)
+        rows, d, gd, steep = rows[going], d[going], gd[going], steep[going]
         newton[rows] += ~steep
         steepest[rows] += steep
         # Keep a single step inside one period of the landscape.
@@ -344,6 +331,7 @@ def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Es
         criterion_value=float(run.f[0]),
         iterations=int(run.iterations[0]),
         converged=bool(run.converged[0]),
+        stop=int(run.stop[0]),
         gradient_max=float(run.gradient_max[0]),
         aligned=SpectralTable(run.aligned[0], ctx.table.period),
     )

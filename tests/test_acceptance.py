@@ -15,7 +15,6 @@ from conftest import (brute_force_criterion, finite_difference_gradient,
 from curveshift import (
     CriterionContext,
     CurveSet,
-    OptimizerConfig,
     SimulationSpec,
     WeightScheme,
     evaluate,
@@ -88,7 +87,6 @@ def test_criterion_2_derivative_correctness():
 def test_criterion_3_exact_recovery():
     start = time.perf_counter()
     rng = np.random.default_rng(1003)
-    config = OptimizerConfig(gradient_tolerance=1e-12)
     worst_single = 0.0
     n = 101
     t = np.arange(n) * T / n
@@ -100,7 +98,7 @@ def test_criterion_3_exact_recovery():
                 transform(CurveSet(samples=np.vstack(rows), period=T)),
                 WeightScheme.unit((n - 1) // 2),
             )
-            res = minimize(ctx, config)
+            res = minimize(ctx)
             worst_single = max(
                 worst_single, np.max(np.abs(wrap_phase(res.alpha_hat.free - alpha_true)))
             )
@@ -109,7 +107,7 @@ def test_criterion_3_exact_recovery():
                           shifts=ks * T / n, replicates=1)
     rep = generate(spec, 0)
     ctx = CriterionContext(transform(rep.curves), spec.weights)
-    res = minimize(ctx, config)
+    res = minimize(ctx)
     worst_sinc = np.max(np.abs(wrap_phase(res.alpha_hat.free - rep.alpha[1:])))
     elapsed = time.perf_counter() - start
     ok = worst_single < 1e-6 and worst_sinc < 1e-8 and elapsed < 2.0

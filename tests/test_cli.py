@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -118,7 +119,7 @@ class TestEstimate:
         write_curves(src, [np.cos(t - s) + 0.4 * np.sin(2 * (t - s)) for s in shifts])
         out = tmp_path / "out"
         rc = main(["estimate", "--input", str(src), "--output-dir", str(out),
-                   "--period", repr(T), "--grad-tol", "1e-12"])
+                   "--period", repr(T)])
         assert rc == 0
         _, aligned = read_csv(out / "aligned.csv")
         for j in range(3):
@@ -355,6 +356,26 @@ class TestEstimate:
         report = json.loads((out / "report.json").read_text())
         assert report["theta_hat"][1] == pytest.approx(0.8, abs=1e-6)
 
+    def test_weights_file_equal_to_unit_is_flagged_as_unit(self, tmp_path, capsys):
+        # A file of unit values is flagged by its values, so it gets the lag
+        # and zero starts as --weights unit does.  On this table the scan
+        # start alone ends 0.14 rad from the lowest of the three runs.
+        spec = SimulationSpec("sinc15", n_curves=5, n_samples=101, sigma=3.0, replicates=1,
+                              seed=1)
+        src = tmp_path / "in.csv"
+        write_curves(src, generate(spec, 0).curves.samples)
+        wfile = tmp_path / "w.csv"
+        wfile.write_text("\n".join(["l,delta"] + [f"{l},1.0" for l in range(-50, 51) if l]))
+        shifts = {}
+        for weights in ("unit", f"file:{wfile}"):
+            out = tmp_path / weights[:4]
+            assert main(["estimate", "--input", str(src), "--output-dir", str(out),
+                         "--weights", weights]) == 0
+            shifts[weights] = (out / "shifts.csv").read_bytes()
+        assert shifts["unit"] == shifts[f"file:{wfile}"]
+        assert ("warning: custom weights reach the top frequency and decay no faster than"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("rows, message", [
         (["1,1.0", "2,1.0", "3,1.0"], "symmetric"),
         (["1,1.0", "-1,0.2"], "symmetric"),
@@ -378,19 +399,35 @@ class TestEstimate:
         assert message in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_warning_names_a_stop_with_no_lower_value(self, tmp_path, capsys, monkeypatch):
+        # The iteration-cap reason is reached for real in
+        # TestCompareLandmark::test_input_mode_warns_as_estimate.
+        def no_lower_value(ctx, config):
+            result = optimize.minimize(ctx, config)
+            return dataclasses.replace(result, converged=False, stop=optimize.NO_LOWER_VALUE)
+
+        monkeypatch.setattr(cli, "minimize", no_lower_value)
+        n = 101
+        t = np.arange(n) * T / n
+        src = tmp_path / "in.csv"
+        write_curves(src, [np.cos(t), np.cos(t - 0.8)])
+        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 0
+        assert ("warning: optimizer did not converge in 1 iterations (no lower value)"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
     def test_optimizer_options_checked_before_the_input_is_read(self, tmp_path, capsys,
                                                                  command):
         # An even-length file under unit weights would warn twice while it is
-        # read and fitted; a bad tolerance exits 2 before either warning.
+        # read and fitted; a bad iteration cap exits 2 before either warning.
         src = tmp_path / "in.csv"
         write_curves(src, [np.cos(np.arange(12)), np.sin(np.arange(12))])
         out = tmp_path / "o"
         rc = main([command, "--input", str(src), "--weights", "unit", "--truncate-even",
-                   "--grad-tol", "inf", "--output-dir", str(out)])
+                   "--max-iters", "0", "--output-dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "error: input: gradient_tolerance must be finite and positive\n"
+        assert err == "error: input: max_iterations must be positive\n"
         assert not any(out.rglob("*.*"))
 
 
@@ -475,22 +512,25 @@ class TestSimulate:
         assert "input: sigma must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["estimate", "--input", "in.csv", "--grad-tol", "inf"], "gradient_tolerance"),
-        (["simulate", "--replicates", "2", "--grad-tol", "inf"], "gradient_tolerance"),
-        (["compare-landmark", "--replicates", "2", "--bandwidth", "inf"], "bandwidth"),
-        (["compare-landmark", "--replicates", "2", "--bandwidth", "0"], "bandwidth"),
-    ], ids=["estimate-grad-tol", "simulate-grad-tol", "bandwidth-inf", "bandwidth-0"])
-    def test_tolerance_and_bandwidth_finite_and_positive(self, tmp_path, capsys, argv, message):
-        # An infinite tolerance would stop every run at its start as
-        # converged, and an infinite bandwidth would fail every landmark.
-        src = tmp_path / "in.csv"
-        write_curves(src, [np.cos(np.arange(11)), np.sin(np.arange(11))])
-        argv = [str(src) if arg == "in.csv" else arg for arg in argv]
+    @pytest.mark.parametrize("bandwidth", ["inf", "0"], ids=["bandwidth-inf", "bandwidth-0"])
+    def test_bandwidth_finite_and_positive(self, tmp_path, capsys, bandwidth):
+        # An infinite bandwidth would fail every landmark.
         out = tmp_path / "o"
-        assert main(argv + ["--output-dir", str(out)]) == 2
-        assert f"input: {message} must be finite and positive" in capsys.readouterr().err
+        assert main(["compare-landmark", "--replicates", "2", "--bandwidth", bandwidth,
+                     "--output-dir", str(out)]) == 2
+        assert "input: bandwidth must be finite and positive" in capsys.readouterr().err
         assert not any(out.rglob("*.json"))
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "compare-landmark"])
+    def test_gradient_tolerance_option_is_gone(self, tmp_path, capsys, command):
+        # A run stops on its Newton step, a fixed FINAL_STEP in radians, so
+        # the former --grad-tol is an unknown option: argparse exits 2.
+        required = ["--input", "in.csv"] if command == "estimate" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, "--grad-tol", "1e-8", "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grad-tol 1e-8" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
     @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
@@ -616,7 +656,7 @@ class TestCompareLandmark:
         assert main(["compare-landmark", "--output-dir", str(tmp_path / "cmp")] + argv) == 0
         assert capsys.readouterr().err == estimate_err
         expected = ("warning: unit weights violate" if option[0] == "--weights" else
-                    "warning: optimizer did not reach the gradient tolerance in 1 iterations")
+                    "warning: optimizer did not converge in 1 iterations (iteration cap)")
         assert expected in estimate_err
         report = json.loads((tmp_path / "cmp" / "report.json").read_text())
         assert sorted(report) == ["command", "landmark_failures", "mode", "n_curves",
@@ -706,7 +746,7 @@ class TestCompareLandmark:
         write_curves(src, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))])
         out = tmp_path / "cmp"
         rc = main(["compare-landmark", "--input", str(src), "--output-dir", str(out),
-                   "--weights", "power:2", "--max-iters", "50", "--grad-tol", "1e-9",
+                   "--weights", "power:2", "--max-iters", "50",
                    "--period", repr(T), "--truncate-even", "--bandwidth", "0.2"])
         assert rc == 0
         assert "last sample truncated" in capsys.readouterr().err

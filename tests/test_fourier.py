@@ -254,6 +254,30 @@ class TestWeightScheme:
         assert WeightScheme.power(1.0, 5).fluctuation_warning is not None
         assert WeightScheme.power(1.26, 5).fluctuation_warning is None
 
+    def test_unit_warning_says_intervals_are_not_valid(self):
+        warning = WeightScheme.unit(5).fluctuation_warning
+        assert warning.startswith("unit weights violate")
+        assert "standard errors and confidence intervals are not valid" in warning
+
+    def test_custom_flagged_by_its_values(self):
+        # Flagged where the weights reach l = L and decay no faster than
+        # |l|^-1.25 from their first nonzero frequency l1.
+        def flag(half):
+            half = np.asarray(half, dtype=float)
+            values = np.concatenate([half[::-1], [0.0], half])
+            return WeightScheme.custom(values).fluctuation_warning is not None
+
+        L = 50
+        ls = np.arange(1, L + 1, dtype=float)
+        assert flag(WeightScheme.unit(L).values[L + 1:])
+        assert flag(ls**-1.0) and not flag(ls**-1.3)
+        assert flag(np.where(ls >= 3, 1.0, 0.0))  # l1 = 3
+        assert not flag(np.where(ls < L, 1.0, 0.0))  # delta_L = 0: as before
+        assert not flag(np.zeros(L))
+        # l1 = 2, L = 3: flagged where delta_3 3^1.25 >= 2^1.25, delta_3 >= 0.602
+        assert flag([0.0, 1.0, 0.7]) and not flag([0.0, 1.0, 0.5])
+        assert WeightScheme.custom(np.zeros(1)).fluctuation_warning is None
+
 
 class TestCurveSet:
     def test_needs_two_curves(self):

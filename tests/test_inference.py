@@ -193,8 +193,6 @@ class TestConfidenceIntervals:
         assert half == pytest.approx(0.392, abs=5e-4)
 
     def test_zero_width_for_noiseless_data(self):
-        from curveshift import OptimizerConfig
-
         # Identical curves: the estimate is exactly zero and the residual
         # dispersion vanishes identically, so intervals have zero width.
         t = np.arange(101) * T / 101
@@ -204,12 +202,11 @@ class TestConfidenceIntervals:
         assert report.sigma2_hat == 0.0
         assert np.array_equal(report.intervals_alpha[:, 0], report.intervals_alpha[:, 1])
 
-        # Noiseless continuous shifts: widths shrink with the optimizer
-        # tolerance (the tiny residual comes from the finite gradient stop).
+        # Noiseless continuous shifts: widths shrink to the residual that the
+        # optimizer's stop leaves (a Newton step of at most 1.5e-8 rad).
         a = np.array([0.0, 0.4, -0.8])
         table = cosine_table(a)
-        res = minimize(CriterionContext(table, WeightScheme.unit(50)),
-                       OptimizerConfig(gradient_tolerance=1e-12))
+        res = minimize(CriterionContext(table, WeightScheme.unit(50)))
         report = confidence_intervals(res, table, WeightScheme.unit(50), level=0.99)
         widths = report.intervals_alpha[:, 1] - report.intervals_alpha[:, 0]
         assert np.max(widths) < 1e-9

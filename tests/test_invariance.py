@@ -83,9 +83,10 @@ def test_period_rescales_theta(data):
 @examples
 @given(datasets())
 def test_amplitude_scales_sigma2(data):
-    # The gradient tolerance is absolute, so scaling the contrast by 16
-    # moves the point where Newton stops: alpha_hat agrees to about 1e-8,
-    # not to rounding.
+    # A run stops on its Newton step, in radians, which scaling the contrast
+    # by 16 leaves unchanged, so alpha_hat moves by rounding at most (it moved
+    # by up to 1.1e-8 under the former absolute gradient stop).  The bound is
+    # kept as it was.
     samples, weights = data
     base, table = fit(samples, weights)
     scaled, scaled_table = fit(4.0 * samples, weights)

@@ -236,7 +236,7 @@ class TestMinimize:
                               replicates=1, seed=99)
         rep = generate(spec, 0)
         ctx = CriterionContext(transform(rep.curves), spec.weights)
-        res = minimize(ctx, OptimizerConfig(max_iterations=1, gradient_tolerance=1e-14))
+        res = minimize(ctx, OptimizerConfig(max_iterations=1))
         assert not res.converged
         assert res.iterations <= 1
 
@@ -324,13 +324,12 @@ class TestMinimize:
     @pytest.mark.parametrize("n_curves, sigma", [(10, 3.0), (10, 5.0), (2, 5.0), (2, 7.0)])
     def test_unit_weights_never_above_lag_and_zero_starts(self, monkeypatch, n_curves, sigma):
         # Under flagged weights the starts are a superset of the lag and zero
-        # starts, so the minimum reached is never higher.  The iteration cap and
-        # tolerance only bound the cost of runs that stall at the rounding
-        # floor of the unit-weight gradient; both sides use the same config.
+        # starts, so the minimum reached is never higher.  The iteration cap
+        # only bounds the cost of slow runs; both sides use the same config.
         # A descent minimize already ran from the same start is not rerun:
         # `_descend` runs one descent per row of its start array, and each
         # row's value is recorded under that start.
-        config = OptimizerConfig(max_iterations=50, gradient_tolerance=1e-6)
+        config = OptimizerConfig(max_iterations=50)
         original, runs = optimize._descend, {}
 
         def recording(ctx, x0, *args):
@@ -378,9 +377,12 @@ def stacked_contexts(pattern, weights, n_curves, n_samples, sigma, replicates, s
     return CriterionContext(stacked, weights), [CriterionContext(t, weights) for t in tables]
 
 
-def assert_rows_equal(stacked, singles):
+def assert_rows_equal(stacked, singles, weights):
     """Every field of a `_descend` or `_minimize_tables` record against one-run
-    records: floats to 1e-12, stop reasons and work counts exactly."""
+    records: floats to 1e-12, stop reasons and work counts exactly.  Then the
+    stop rule at each run's end point, from its rephased table: a run reads
+    converged exactly where H is positive definite and the Newton step's
+    max-norm is at most FINAL_STEP."""
     for p, alone in enumerate(singles):
         for field in dataclasses.fields(optimize.Descent):
             a, b = getattr(stacked, field.name)[p], getattr(alone, field.name)[0]
@@ -388,9 +390,11 @@ def assert_rows_equal(stacked, singles):
                 assert np.array_equal(a, b), (p, field.name)
             else:
                 assert np.max(np.abs(a - b)) <= 1e-12, (p, field.name)
-    # Every stacked-engine case runs at the default gradient tolerance.
-    tol = OptimizerConfig().gradient_tolerance
-    assert np.array_equal(stacked.converged, stacked.gradient_max <= tol)
+    ctx = CriterionContext(SpectralTable(stacked.aligned, T), weights)
+    H, g = criterion._hessian(ctx, stacked.aligned), criterion._gradient(ctx, stacked.aligned)
+    step = np.max(np.abs(np.linalg.solve(H, g[..., None])[..., 0]), axis=-1)
+    meets = (np.linalg.eigvalsh(H)[:, 0] > 0.0) & (step <= optimize.FINAL_STEP)
+    assert np.array_equal(stacked.converged, meets)
 
 
 class TestStackedEngine:
@@ -411,7 +415,7 @@ class TestStackedEngine:
                   else OptimizerConfig(max_iterations=max_iterations))
         out = optimize._minimize_tables(stacked, config)
         alone = [optimize._minimize_tables(stack_of_one(ctx), config) for ctx in singles]
-        assert_rows_equal(out, alone)
+        assert_rows_equal(out, alone, scheme)
         for ctx, run in zip(singles, alone):  # `minimize` reads the stack-of-one record
             res = minimize(ctx, config)
             assert (res.alpha_hat.free.tolist(), res.criterion_value, res.iterations,
@@ -440,7 +444,7 @@ class TestStackedEngine:
         out = optimize._descend(ctx, x0, config)
         alone = [optimize._descend(stack_of_one(single), x0[p:p + 1], config)
                  for p, single in enumerate(singles)]
-        assert_rows_equal(out, alone)
+        assert_rows_equal(out, alone, ctx.weights)
         iters, stop = out.iterations, out.stop
         assert np.all(stop[:6] == optimize.TOLERANCE) and np.all(iters[:6] == 2)
         if max_iterations == 3:
@@ -460,18 +464,17 @@ class TestStackedEngine:
         config = OptimizerConfig()
         assert_rows_equal(optimize._descend(ctx, x0, config),
                           [optimize._descend(stack_of_one(single), x0[p:p + 1], config)
-                           for p, single in enumerate(singles)])
+                           for p, single in enumerate(singles)], ctx.weights)
 
 
-def two_curve_unit_weight_case():
-    """sinc15, J = 2, n = 101, sigma 7, shifts [0, pi/3], unit weights: the
-    context as a stack of one, and its three start rows.  The seed is the
-    first from 7 on whose scan start's run stops with no lower value."""
-    spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, sigma=7.0,
-                          shifts=np.array([0.0, np.pi / 3]), weights=WeightScheme.unit(50),
-                          replicates=1, seed=8)
-    ctx = stack_of_one(CriterionContext(transform(generate(spec, 0).curves), spec.weights))
-    return ctx, optimize._starts(ctx)[0]
+def saddle_case():
+    """Three in-phase cosines of amplitudes 1, 1/2 and 4 (n = 101, power:1.3)
+    as a stack of one.  At alpha = (pi, pi) curve 2 lies along the sum of the
+    others and curve 3 against it, so the gradient is zero up to rounding and
+    H is indefinite."""
+    t = np.arange(101) * T / 101
+    curves = CurveSet(samples=np.outer([1.0, 0.5, 4.0], np.cos(t)), period=T)
+    return stack_of_one(CriterionContext(transform(curves), WeightScheme.power(1.3, 50)))
 
 
 class TestDescent:
@@ -487,42 +490,97 @@ class TestDescent:
         run = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=1))
         assert run.stop[0] == optimize.ITERATION_CAP and not run.converged[0]
         assert run.iterations[0] == 1 and run.gradient_max[0] > 1e-8
-        ctx, x0 = two_curve_unit_weight_case()
-        run = optimize._descend(CriterionContext(SpectralTable(
-            np.repeat(ctx.table.coeffs, 3, axis=0), T), ctx.weights), x0, OptimizerConfig())
-        assert np.array_equal(run.stop, [optimize.NO_LOWER_VALUE, optimize.NO_LOWER_VALUE,
-                                         optimize.TOLERANCE])
-        assert np.array_equal(run.converged, [False, False, True])
+        run = optimize._descend(saddle_case(), np.array([[np.pi, np.pi]]), OptimizerConfig())
+        assert run.stop[0] == optimize.NO_LOWER_VALUE and not run.converged[0]
 
     def test_no_move_stop_keeps_the_run(self):
-        # The scan start's last line search fails.  Run to all 80 halvings
-        # its run ends at this x, f and iteration count, with 80 rejected
-        # trials in that search (numpy's loops round differently on some
-        # CPUs, hence the tolerance).  The search now ends at the first trial
-        # point that rounds to x, so fewer trials are rejected.
-        ctx, x0 = two_curve_unit_weight_case()
-        run = optimize._descend(ctx, x0[:1], OptimizerConfig())
-        assert run.x[0, 0] == pytest.approx(1.2426906091200092, rel=1e-12)
-        assert run.f[0] == pytest.approx(19.118334138023393, rel=1e-12)
-        assert run.iterations[0] == 3 and run.stop[0] == optimize.NO_LOWER_VALUE
-        assert run.rejected[0] < 80 and run.rephased[0] == 1 + 3 + run.rejected[0]
+        # sinc15 J = 10, n = 101, sigma 3, unit weights, seed 7: the scan
+        # start of replicate 19 is the one run of that 100-replicate cell
+        # that ends with no lower value.  Its last point has a positive
+        # definite H whose Newton step, 1.58e-8 rad, is just longer than
+        # FINAL_STEP, and no trial along it is lower.  The run keeps that
+        # point, its value and its 34 iterations.  Its last search ends at the
+        # first trial point that rounds to x, before 80 halvings (numpy's
+        # loops round differently on some CPUs, hence the tolerance).
+        spec = SimulationSpec(pattern="sinc15", n_curves=10, n_samples=101, sigma=3.0,
+                              weights=WeightScheme.unit(50), replicates=20, seed=7)
+        single = CriterionContext(transform(generate(spec, 19).curves), spec.weights)
+        ctx = stack_of_one(single)
+        x0 = optimize._starts(ctx)[0, :1]
+        run = optimize._descend(ctx, x0, OptimizerConfig())
+        assert run.x[0, 0] == pytest.approx(-0.10710432053081576, rel=1e-12)
+        assert run.f[0] == pytest.approx(8.498114905205387, rel=1e-12)
+        assert run.iterations[0] == 34 and run.stop[0] == optimize.NO_LOWER_VALUE
+        assert run.rephased[0] == 1 + 34 + run.rejected[0]
+        capped = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=34))
+        assert np.array_equal(capped.x, run.x) and capped.stop[0] == optimize.ITERATION_CAP
+        assert 0 < run.rejected[0] - capped.rejected[0] < 80
+        H = hessian(single, run.x[0])
+        step = np.max(np.abs(np.linalg.solve(H, gradient(single, run.x[0]))))
+        assert np.linalg.eigvalsh(H)[0] > 0.0 and step > optimize.FINAL_STEP
 
     def test_converged_run_takes_its_last_newton_step(self):
-        # A study-cosine table: the contrast is about 3e-4, so one Newton step
-        # meets the absolute gradient tolerance about 4e-8 rad short of the
-        # minimum.  That run then takes its Newton step once more and ends
-        # where a run to a 1e-14 tolerance does.
+        # A study-cosine table: the scan start's first Newton step leaves the
+        # run 4.1e-8 rad short of the minimum, a Newton step longer than
+        # FINAL_STEP, so the run takes it as its second iteration.  It then
+        # ends where further Newton steps leave it, to rounding.  A cap of one
+        # iteration stops it before that step, unconverged; at a cap of two
+        # the step test holds at the same point as the cap, and wins.
         spec = SimulationSpec(pattern="cosine", n_curves=5, n_samples=401, sigma=0.5,
                               replicates=1, seed=0)
-        ctx = stack_of_one(CriterionContext(transform(generate(spec, 0).curves), spec.weights))
+        single = CriterionContext(transform(generate(spec, 0).curves), spec.weights)
+        ctx = stack_of_one(single)
         x0 = optimize._starts(ctx)[0]
         one = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=1))
-        assert one.stop[0] == optimize.TOLERANCE and one.iterations[0] == 1
+        assert one.stop[0] == optimize.ITERATION_CAP and not one.converged[0]
+        assert one.iterations[0] == 1
         run = optimize._descend(ctx, x0, OptimizerConfig())
-        tight = optimize._descend(ctx, x0, OptimizerConfig(gradient_tolerance=1e-14))
         assert run.stop[0] == optimize.TOLERANCE and run.iterations[0] == 2
-        assert np.max(np.abs(run.x - tight.x)) <= 1e-15
+        two = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=2))
+        assert two.stop[0] == optimize.TOLERANCE and np.array_equal(two.x, run.x)
+        x = run.x[0]
+        for _ in range(3):
+            x = x - np.linalg.solve(hessian(single, x), gradient(single, x))
+        assert np.max(np.abs(run.x[0] - x)) <= 1e-15
         assert np.max(np.abs(run.x - one.x)) > optimize.FINAL_STEP
+
+    def test_indefinite_hessian_is_never_converged(self):
+        # At the saddle the gradient is 5e-17, far below any absolute
+        # tolerance, but H is indefinite: the run takes -g, whose first
+        # trial rounds to x, and stops unconverged where it started.
+        ctx = saddle_case()
+        run = optimize._descend(ctx, np.array([[np.pi, np.pi]]), OptimizerConfig())
+        assert run.gradient_max[0] < 1e-16
+        assert run.stop[0] == optimize.NO_LOWER_VALUE and not run.converged[0]
+        assert run.iterations[0] == 0 and run.steepest[0] == 1 and run.rejected[0] == 1
+        eigenvalues = np.linalg.eigvalsh(criterion._hessian(ctx, run.aligned)[0])
+        assert eigenvalues[0] < 0.0 < eigenvalues[1]
+
+    def test_zero_gradient_at_positive_definite_hessian_converges(self):
+        # Two equal curves with real coefficients, started at 0: every
+        # rephased coefficient is exact, so g is exactly zero.  Its Newton
+        # step does not descend (g.d = 0) and `_newton_directions` marks it
+        # steep, but the step's length, 0, meets the stop test at once.
+        coeffs = np.array([[[0.0, 1.0, 0.5, 0.25]] * 2], dtype=complex)
+        ctx = CriterionContext(SpectralTable(coeffs, T), WeightScheme.power(1.3, 3))
+        run = optimize._descend(ctx, np.zeros((1, 1)), OptimizerConfig())
+        assert run.gradient_max[0] == 0.0
+        assert run.stop[0] == optimize.TOLERANCE and run.converged[0]
+        assert run.iterations[0] == 0 and run.newton[0] == run.steepest[0] == 0
+        assert criterion._hessian(ctx, run.aligned)[0, 0, 0] > 0.0
+
+    def test_amplitude_leaves_the_estimate_in_place(self):
+        # The stop is a Newton step, in radians, so scaling the curves moves
+        # alpha_hat only by rounding.  Under the former absolute gradient
+        # tolerance this table's fit moved by 7.0e-7 rad at c = 1e-6 and 1e-3.
+        spec = SimulationSpec(pattern="cosine", n_curves=5, n_samples=401, sigma=0.5,
+                              replicates=1, seed=7)
+        curves = generate(spec, 0).curves
+        base = minimize(CriterionContext(transform(curves), spec.weights)).alpha_hat.free
+        for c in (1e-6, 1e-3, 4.0, 100.0):
+            scaled = CurveSet(samples=c * curves.samples, period=T)
+            res = minimize(CriterionContext(transform(scaled), spec.weights))
+            assert res.converged and np.max(np.abs(res.alpha_hat.free - base)) <= 1e-12, c
 
     def fake_winner(self, monkeypatch, f, x):
         # Two flagged-weight tables of three starts; the descent's record is
@@ -555,8 +613,8 @@ class TestDescent:
 
 def newton_direction(H, g):
     """`_newton_directions` on a stack of one."""
-    d, gd, steep = optimize._newton_directions(H[None], g[None])
-    return d[0], gd[0], steep[0]
+    d, gd, steep, length = optimize._newton_directions(H[None], g[None])
+    return d[0], gd[0], steep[0], length[0]
 
 
 def engine_hessians(pattern, n_curves, replicates):
@@ -594,18 +652,20 @@ class TestNewtonDirection:
         engine = k in ENGINE_HESSIANS
         H, g = engine_hessians(*ENGINE_HESSIANS[k]) if engine else random_hessian(k)
         tol = 1e-12 if engine else 1e-13
-        d, gd, steep = optimize._newton_directions(H, g)
+        d, gd, steep, length = optimize._newton_directions(H, g)
         for Hr, gr, dr in zip(H, g, d):
             expected = -cho_solve(cho_factor(Hr, lower=False), gr)
             assert np.max(np.abs(dr - expected)) <= tol * np.max(np.abs(expected))
         assert np.array_equal(gd, np.einsum("pk,pk->p", g, d))
         assert np.all(gd < 0.0) and not steep.any()
+        assert np.array_equal(length, np.max(np.abs(d), axis=-1))
 
     def test_steepest_descent_without_factor(self):
         g = np.array([1.0, -2.0, 3.0])
         for H in (np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3))):
-            d, gd, steep = newton_direction(H, g)
+            d, gd, steep, length = newton_direction(H, g)
             assert np.array_equal(d, -g) and gd == -14.0 and steep
+            assert length == np.inf
 
     @pytest.mark.parametrize("k", [1, 4, 29, 64, 65, 200])
     def test_stack_equals_rows(self, k):
@@ -621,21 +681,22 @@ class TestNewtonDirection:
         g = rng.standard_normal((4, k))
         g[3] = 0.0
         for rows in ([0, 1, 2, 3], [0, 1, 3], [0, 1]):
-            d, gd, steep = optimize._newton_directions(H[rows], g[rows])
+            d, gd, steep, length = optimize._newton_directions(H[rows], g[rows])
             for i, r in enumerate(rows):
-                d1, gd1, steep1 = newton_direction(H[r], g[r])
+                d1, gd1, steep1, length1 = newton_direction(H[r], g[r])
                 assert np.array_equal(d[i], d1) and gd[i] == gd1 and steep[i] == steep1, (rows, r)
-        d, gd, steep = optimize._newton_directions(H, g)
+                assert length[i] == length1, (rows, r)
+        d, gd, steep, length = optimize._newton_directions(H, g)
         assert np.array_equal(steep, [False, False, True, True])
         assert np.array_equal(d[2:], -g[2:]) and np.all(gd[:2] < 0.0)
         assert gd[2] == pytest.approx(-np.dot(g[2], g[2]), rel=1e-15) and gd[3] == 0.0
+        # The zero gradient's Newton step does not descend, so it takes -g,
+        # but its length, 0 at a positive definite H, is what the stop reads.
+        assert np.array_equal(length[:2], np.max(np.abs(d[:2]), axis=-1))
+        assert length[2] == np.inf and length[3] == 0.0
 
 
 class TestOptimizerConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="max_iterations must be positive"):
             OptimizerConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(gradient_tolerance=0.0)
-        with pytest.raises(ValueError, match="gradient_tolerance must be finite and positive"):
-            OptimizerConfig(gradient_tolerance=np.inf)

@@ -258,6 +258,16 @@ class TestTheoreticalGamma:
 
 
 class TestRunStudy:
+    def test_unit_weight_runs_at_the_rounding_floor_converge(self):
+        # Under the former absolute gradient tolerance (max|g| <= 1e-8) 9 of
+        # these 20 replicates read non-converged: their runs stopped with no
+        # lower value at the rounding floor of the unit-weight contrast, where
+        # the gradient's own rounding level lies above 1e-8.  Their Newton
+        # steps there are at most FINAL_STEP.
+        spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, sigma=7.0,
+                              weights=WeightScheme.unit(50), replicates=20, seed=7)
+        assert run_study(spec).nonconverged == 0
+
     def test_single_frequency_variance(self):
         # delta_{+-1} = 1 only: Gamma = 2 (I + U), so for J = 2 the variance
         # of sqrt(n) alpha_2 errors is 4 sigma^2.
@@ -288,12 +298,10 @@ class TestRunStudy:
         assert s1.as_dict() == s2.as_dict()
 
     def test_zero_noise_zero_bias_on_grid_shifts(self):
-        from curveshift import OptimizerConfig
-
         n = 101
         spec = SimulationSpec(pattern="sinc15", n_curves=4, n_samples=n, sigma=0.0,
                               shifts=np.array([0, 12, -30, 5]) * T / n, replicates=1)
-        summary = run_study(spec, OptimizerConfig(gradient_tolerance=1e-12))
+        summary = run_study(spec)
         assert np.max(np.abs(summary.bias)) < 1e-9
         assert summary.rmse_estimator < 1e-9
 

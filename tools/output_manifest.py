@@ -18,11 +18,11 @@ path, then one line per command with its exit code, the SHA-256 of its
 standard error and its arguments, then one line per command with the Newton
 engine's work, summed over every run of `optimize._descend`: points
 rephased, Newton and -g directions, rejected line-search trials, and the runs
-that stopped at the gradient tolerance, with no lower value and at the
+that stopped converged (`tolerance`), with no lower value and at the
 iteration cap.  The last commands give a truth near T/2, non-finite shifts,
-malformed or missing files, a non-finite or zero bandwidth, gradient
-tolerance or period, and an all-zero weight file, so their exit codes and
-stderr hashes cover the error paths.  The work counts are deterministic, so
+malformed or missing files, a non-finite or zero bandwidth, a non-finite
+period, a zero iteration cap and an all-zero weight file, so their exit codes
+and stderr hashes cover the error paths.  The work counts are deterministic, so
 two commits can be compared on work without timing noise.
 
 `--numbers` writes one tab-separated line per value instead, grouped by
@@ -135,11 +135,11 @@ def commands() -> list[list[str]]:
     runs.append(["estimate", "--input", "wide-0.csv", "--weights", "file:missing.csv"])
     runs.append(["compare-landmark", "--bandwidth", "inf"])
     runs.append(["compare-landmark", "--bandwidth", "0"])
-    runs.append(["simulate", "--grad-tol", "inf"])
+    runs.append(["simulate", "--max-iters", "0"])
     runs.append(["estimate", "--input", "wide-0.csv", "--period", "inf"])
     Path("zero.csv").write_text("l,delta\n1,0.0\n-1,0.0\n", encoding="utf-8")
     runs.append(["simulate", "--weights", "file:zero.csv"])
-    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "unit", "--grad-tol", "inf"])
+    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "unit", "--max-iters", "0"])
     return runs
 
 
