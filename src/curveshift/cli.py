@@ -26,6 +26,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,25 +234,13 @@ def _warn(warnings: list[str], message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _read_input(args, warnings: list[str]):
-    """The --input curve file as (column_names, times_or_None, CurveSet, n_input).
-
-    Drops the last row of an even-length file under --truncate-even, and
-    takes the period from --period, else the t column (n * dt), else 2 pi.
+def _read_input(args):
+    """The --input curve file as (column_names, times_or_None, CurveSet), every
+    sample kept; the period comes from --period, else the t column (n * dt), else 2 pi.
     """
     names, times, data = _read_curves_csv(Path(args.input))
     if data.shape[1] < 2:
         raise _input_error(f"{args.input}: need at least two curve columns")
-    n_input = data.shape[0]
-    if n_input % 2 == 0:
-        if not args.truncate_even:
-            raise _input_error(
-                f"{n_input} samples is even; the transform needs odd n. "
-                "Re-run with --truncate-even to drop the last sample."
-            )
-        data = data[:-1]
-        times = times[:-1] if times is not None else None
-        _warn(warnings, f"even sample count {n_input}: last sample truncated to n = {n_input - 1}")
     n = data.shape[0]
     if n < 3:
         raise _input_error(f"{args.input}: need at least 3 samples per curve, got {n}")
@@ -261,7 +250,7 @@ def _read_input(args, warnings: list[str]):
         period = float(n * (times[1] - times[0]))
     else:
         period = 2.0 * np.pi
-    return names, times, _checked(CurveSet, samples=data.T, period=period), n_input
+    return names, times, _checked(CurveSet, samples=data.T, period=period)
 
 
 def _study_cells(args) -> tuple[list[float], list[str]]:
@@ -318,7 +307,7 @@ def cmd_estimate(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     warnings: list[str] = []
-    names, times, curves, n_input = _read_input(args, warnings)
+    names, times, curves = _read_input(args)
     table, weights, ident, result = _fit(args, curves, config, warnings)
 
     try:
@@ -357,7 +346,7 @@ def cmd_estimate(args) -> int:
         "command": "estimate",
         "n_curves": J,
         "n_samples": curves.n_samples,
-        "n_samples_input": n_input,
+        "n_samples_input": curves.n_samples,
         "period": float(curves.period),
         "weights": weights.kind,
         "criterion_value": float(result.criterion_value),
@@ -382,15 +371,16 @@ def cmd_estimate(args) -> int:
 # simulate
 
 def _build_spec(args, sigma: float, weight_token: str, n: int) -> SimulationSpec:
-    weights = _materialize_weights(weight_token, (n - 1) // 2)
+    """The study spec of one cell; the spec checks n before the weights are built for it."""
     shifts = None
     if args.shifts:
         shifts = np.asarray(_parse_float_list(args.shifts, "--shifts"))
     pattern = _load_pattern(args.pattern, n)
     period = args.period if args.period is not None else 2.0 * np.pi
-    return _checked(SimulationSpec, pattern=pattern, n_curves=args.curves, n_samples=n,
-                    sigma=sigma, shifts=shifts, weights=weights, replicates=args.replicates,
-                    seed=args.seed, period=period, confidence=args.confidence)
+    spec = _checked(SimulationSpec, pattern=pattern, n_curves=args.curves, n_samples=n,
+                    sigma=sigma, shifts=shifts, replicates=args.replicates, seed=args.seed,
+                    period=period, confidence=args.confidence)
+    return replace(spec, weights=_materialize_weights(weight_token, spec.max_frequency))
 
 
 def cmd_simulate(args) -> int:
@@ -399,8 +389,6 @@ def cmd_simulate(args) -> int:
     (out_dir / "figures").mkdir(parents=True, exist_ok=True)
     sigmas, weight_tokens = _study_cells(args)
     n = args.samples
-    if n % 2 == 0:
-        raise _input_error(f"--samples {n} is even; studies need an odd grid")
     config = _optimizer_config(args)
 
     # Every cell's spec is checked before the first study runs.
@@ -458,13 +446,11 @@ def cmd_simulate(args) -> int:
 # compare-landmark
 
 def cmd_compare_landmark(args) -> int:
-    # Options that only the other mode reads have no default here (`build_parser`).
-    unread = ["pattern", "curves", "samples", "sigma", "replicates", "seed", "shifts",
-              "confidence"] if args.input else ["truncate_even"]
-    given = ", ".join(f"--{name.replace('_', '-')}" for name in unread if name in vars(args))
-    if given:
-        raise _input_error(f"compare-landmark {'with' if args.input else 'without'} --input "
-                           f"does not read {given}")
+    # The study options have no default here (`build_parser`), so the input mode sees them.
+    given = [f"--{name}" for name in ("pattern", "curves", "samples", "sigma", "replicates",
+                                       "seed", "shifts", "confidence") if name in vars(args)]
+    if args.input and given:
+        raise _input_error(f"compare-landmark with --input does not read {', '.join(given)}")
     # Unset options take the defaults of the command that the mode runs like.
     like = ["estimate", f"--input={args.input}"] if args.input else ["simulate"]
     defaults = build_parser().parse_args(like + [f"--output-dir={args.output_dir}"])
@@ -475,9 +461,8 @@ def cmd_compare_landmark(args) -> int:
     landmark_config = _checked(LandmarkConfig, bandwidth=args.bandwidth)
 
     if args.input:
-        warnings: list[str] = []
-        _, _, curves, _ = _read_input(args, warnings)
-        result = _fit(args, curves, config, warnings)[3]
+        _, _, curves = _read_input(args)
+        result = _fit(args, curves, config, [])[3]
         lm, ok = landmark_shifts(curves, landmark_config)
         rows = [[str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]), str(int(ok[j]))]
                 for j in range(curves.n_curves)]
@@ -544,7 +529,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_simulation(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pattern", help="sinc15 | cosine | file:<path>")
     p.add_argument("--curves", type=int, help="number of curves J")
-    p.add_argument("--samples", type=int, help="samples per curve n (odd)")
+    p.add_argument("--samples", type=int, help="samples per curve n")
     p.add_argument("--sigma", help="noise level(s), comma separated")
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int)
@@ -559,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate shifts from a curve CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--truncate-even", action="store_true",
-                   help="drop the last sample when n is even")
     _add_common(p)
     p.set_defaults(func=cmd_estimate, confidence=0.95)
 
@@ -570,12 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate, confidence=0.95, pattern="sinc15", curves=10, samples=101,
                    sigma="1", replicates=200, seed=0)
 
-    # An option that only one mode reads has no default here, so that the
-    # other mode can reject it (`cmd_compare_landmark`).
+    # An option that only the simulation mode reads has no default here, so
+    # that the input mode can reject it (`cmd_compare_landmark`).
     p = sub.add_parser("compare-landmark", help="contrast minimizer vs landmark baseline",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", default=None, help="curve CSV (otherwise simulate)")
-    p.add_argument("--truncate-even", action="store_true")
     p.add_argument("--bandwidth", type=float, default=None,
                    help="landmark smoothing bandwidth (time units)")
     _add_common(p)

@@ -19,7 +19,8 @@ Closed forms for the derivatives, used by the optimizer and for inference:
 for k, m in 2..J.  All three are computed from the rephased coefficients
 ct = `fourier.rephase`(table, phases), the only rephasing in the package.
 The curves are real and delta_0 = 0, so each sum over l = -L..L is twice its
-sum over the table's own columns l = 0..L.  The public functions take the
+sum over the table's own columns l = 0..n//2, where an even n's Nyquist
+column l = n/2 has weight 0.  The public functions take the
 phases; the optimizer rephases once per point it tries and reuses that ct
 for the gradient and Hessian once the point is accepted.
 """
@@ -110,14 +111,16 @@ class CriterionContext:
 
     table: SpectralTable
     weights: WeightScheme
-    w2: np.ndarray = field(init=False, repr=False, compare=False)  # |delta_l|^2, l = 0..L
+    w2: np.ndarray = field(init=False, repr=False, compare=False)  # |delta_l|^2, l = 0..n//2
 
     def __post_init__(self):
-        if self.weights.values.size != self.table.n_samples:
+        L = self.weights.max_frequency
+        if L != self.table.max_frequency:
             raise ValueError(
                 "weight vector length does not match the table frequency range"
             )
-        object.__setattr__(self, "w2", self.weights.half_squared)
+        width = self.table.coeffs.shape[-1]  # L + 2 for even n: the Nyquist column gets 0
+        object.__setattr__(self, "w2", np.pad(self.weights.half_squared, (0, width - L - 1)))
 
     @property
     def n_curves(self) -> int:
@@ -126,7 +129,7 @@ class CriterionContext:
 
 # The formulas on the rephased coefficients ct = rephase(table, phases), for a
 # caller (the optimizer) that reuses one ct for value, gradient and Hessian.
-# Each acts on the last two axes, so a stack (P, J, L+1) of rephased tables
+# Each acts on the last two axes, so a stack (P, J, n//2+1) of rephased tables
 # gives P values, P gradients and P Hessians.
 
 def _value(ctx: CriterionContext, ct: np.ndarray):
@@ -179,7 +182,8 @@ def grid_profile(ctx: CriterionContext, grid) -> np.ndarray:
     others = coeffs.sum(axis=0) - coeffs[1]
     # Curve 2's row, one copy per grid value, each rephased by it.
     moving = np.broadcast_to(coeffs[1], grid.shape + coeffs[1].shape)
-    cbar = (others + rephase(SpectralTable(moving, ctx.table.period), grid).coeffs) / ctx.n_curves
+    table = SpectralTable(moving, ctx.table.period, ctx.table.n_samples)
+    cbar = (others + rephase(table, grid).coeffs) / ctx.n_curves
     const_terms = ctx.w2 * np.mean(np.abs(coeffs) ** 2, axis=0)
     var_terms = ctx.w2 * np.abs(cbar) ** 2
     return 2.0 * (np.sum(const_terms) - np.sum(var_terms, axis=1))

@@ -3,14 +3,18 @@
 A collection of J real curves sampled at n equispaced points t_i = (i-1)T/n
 of a period-T interval is mapped to the table of discrete Fourier coefficients
 
-    d_{jl} = (1/n) sum_m y_{jm} exp(-i 2 pi m l / n),   l = 0..L,  L = (n-1)/2,
+    d_{jl} = (1/n) sum_m y_{jm} exp(-i 2 pi m l / n),   l = 0..n//2,
 
-one real FFT per curve, with n odd; d_{j,-l} = conj(d_{jl}) completes the
-symmetric set -L..L, in which weight schemes are stated.  A time shift of
-curve j by theta multiplies d_{jl} by exp(-i l alpha) with alpha = 2 pi
-theta / T, which is what makes this representation convenient for shift
-estimation: candidate shifts are undone in place by `rephase`, and agreement
-across curves is measured on the rephased coefficients.
+one real FFT per curve, for any n >= 3; d_{j,-l} = conj(d_{jl}) completes the
+symmetric set -L..L, L = (n-1)//2, in which weight schemes are stated.  For
+even n the table's last column is the Nyquist term l = n/2, which a real
+curve cannot shift by less than a sample: the contrast, the start scan and
+the noise estimate give it weight 0, and only `inverse_dft` and the landmark
+smoother read it.  A time shift of curve j by theta multiplies d_{jl} by
+exp(-i l alpha) with alpha = 2 pi theta / T, which is what makes this
+representation convenient for shift estimation: candidate shifts are undone
+in place by `rephase`, and agreement across curves is measured on the
+rephased coefficients.
 
 The zero-based DFT above differs from a one-based convention by a fixed
 per-frequency global phase; every downstream quantity depends only on phase
@@ -74,30 +78,32 @@ class CurveSet:
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """Per-curve Fourier coefficients d_{jl} of real curves, columns l = 0..L (not l < 0).
+    """Per-curve Fourier coefficients d_{jl} of n-sample real curves, columns
+    l = 0..n//2 (not l < 0).
 
+    The column count fixes n only up to parity, so the table carries n.
     Leading axes, if any, stack independent J-curve tables, as in `CurveSet`.
     """
 
-    coeffs: np.ndarray  # (..., J, L+1) complex
+    coeffs: np.ndarray  # (..., J, n//2+1) complex
     period: float
+    n_samples: int
 
     def __post_init__(self):
         coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
         object.__setattr__(self, "coeffs", coeffs)
         _require_period(self.period)
+        if coeffs.shape[-1] != self.n_samples // 2 + 1:
+            raise ValueError(f"a table of {coeffs.shape[-1]} columns does not hold "
+                             f"n = {self.n_samples} samples (n//2 + 1 columns)")
 
     @property
     def n_curves(self) -> int:
         return self.coeffs.shape[-2]
 
     @property
-    def n_samples(self) -> int:
-        return 2 * self.coeffs.shape[-1] - 1
-
-    @property
-    def max_frequency(self) -> int:
-        return self.coeffs.shape[-1] - 1
+    def max_frequency(self) -> int:  # L = (n-1)//2: an even n's Nyquist column is beyond it
+        return (self.n_samples - 1) // 2
 
     @property
     def frequencies(self) -> np.ndarray:
@@ -198,43 +204,39 @@ def _require_period(period: float) -> None:
 
 
 def forward_dft(samples, period: float) -> np.ndarray:
-    """Normalized DFT of one curve, or of every curve along the last axis, for l = 0..L.
+    """Normalized DFT of one curve, or of every curve along the last axis, for l = 0..n//2.
 
-    c_l = (1/n) sum_{m=0}^{n-1} x_m exp(-i 2 pi m l / n).  Requires odd n.
+    c_l = (1/n) sum_{m=0}^{n-1} x_m exp(-i 2 pi m l / n): rfft(x) / n.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim < 1:
         raise ValueError("samples must be one curve or an array of curves")
-    if x.shape[-1] % 2 == 0:
-        raise ValueError(
-            f"sample count n = {x.shape[-1]} is even; the transform requires odd n for a "
-            "symmetric frequency set. Truncate the last sample first (the CLI "
-            "does this with --truncate-even)."
-        )
     if not np.all(np.isfinite(x)):
         raise ValueError("curve samples must be finite")
     _require_period(period)
     return np.fft.rfft(x) / x.shape[-1]
 
 
-def inverse_dft(coeffs) -> np.ndarray:
-    """Inverse of `forward_dft`: x_m = sum_{l=-L..L} c_l exp(i 2 pi m l / n), c_{-l} = conj(c_l).
+def inverse_dft(coeffs, n: int) -> np.ndarray:
+    """Inverse of `forward_dft` for n samples: x_m = sum_{l=-L..L} c_l exp(i 2 pi m l / n),
+    c_{-l} = conj(c_l), plus Re(c_{n/2}) (-1)^m for even n.
 
-    The curves are real, so the imaginary part of c_0 is ignored.
+    The curves are real, so the imaginary part of c_0 is ignored, and so is that of an even
+    n's Nyquist term: rephased by exp(i (n/2) a), a real c_{n/2} keeps c_{n/2} cos((n/2) a).
     """
     c = np.asarray(coeffs, dtype=complex)
-    n = 2 * c.shape[-1] - 1
     return np.fft.irfft(c * n, n)
 
 
 def transform(curves: CurveSet) -> SpectralTable:
     """Forward transform of every curve in a set."""
-    return SpectralTable(coeffs=forward_dft(curves.samples, curves.period), period=curves.period)
+    return SpectralTable(forward_dft(curves.samples, curves.period), curves.period,
+                         curves.n_samples)
 
 
 def synthesize(table: SpectralTable) -> CurveSet:
     """Inverse transform of every row back to the sample grid."""
-    return CurveSet(samples=inverse_dft(table.coeffs), period=table.period)
+    return CurveSet(samples=inverse_dft(table.coeffs, table.n_samples), period=table.period)
 
 
 def rephase(table: SpectralTable, alpha) -> SpectralTable:
@@ -242,7 +244,7 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
 
     `alpha` has one entry per curve, in radians, on its last axis.  Its
     leading axes broadcast against the table's: P phase vectors (P, J) rephase
-    one (J, L+1) table P ways, or a stack of P tables one way each.
+    one (J, n//2+1) table P ways, or a stack of P tables one way each.
     Rephasing preserves the modulus of every coefficient.  l = 0 takes 1, and
     l >= 1 takes cos and sin of l a, which equal np.exp(1j * l * a) bit for
     bit, except that a zero imaginary part carries the sign of the zero angle.
@@ -258,4 +260,4 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
     phases[..., 1:].real, phases[..., 1:].imag = np.cos(angles), np.sin(angles)
     # Named, not a temporary: numpy would multiply a temporary in place with the
     # operands swapped, and complex products round differently then.
-    return SpectralTable(coeffs=table.coeffs * phases, period=table.period)
+    return SpectralTable(table.coeffs * phases, table.period, table.n_samples)

@@ -18,8 +18,10 @@ both are replaced by moment estimators:
     floored at zero.
 
 The plug-in Gamma keeps the exact scalar * (I + U) structure.  Both
-estimates read the l = 0..L table that the optimizer rephased at alpha_hat,
-one (`confidence_intervals`) or a study's stack (`interval_half_widths`).
+estimates read the table that the optimizer rephased at alpha_hat, one
+(`confidence_intervals`) or a study's stack (`interval_half_widths`), over
+its columns l = 0..L: an even n's Nyquist column l = n/2 is left out, so
+sigma2 averages the 2L + 1 bins l = -L..L and rescales them to n.
 
 The normal quantile z is the standard library's
 `statistics.NormalDist().inv_cdf`.
@@ -87,17 +89,21 @@ def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.
     return _gamma(float(_gamma_scalar(m[L:], weights)), n_curves)
 
 
-def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
-    """(sigma2, Gamma scalar, se, z) per table of coefficients rephased at alpha_hat.
+def _plug_in(ct: np.ndarray, n: int, weights: WeightScheme, level: float):
+    """(sigma2, Gamma scalar, se, z) per table of n-sample curves' coefficients
+    rephased at alpha_hat.
 
     Gamma's diagonal is 2 * scalar, so one standard error sqrt(sigma2 gamma_jj / n)
     serves every shift of a table; scalar and se are NaN where Gamma is not estimable.
-    With D_l = sum_j |ct_jl - mean_l|^2, sigma2 = (D_0 + 2 sum_{l >= 1} D_l) / (J - 1).
+    With D_l = sum_j |ct_jl - mean_l|^2 over the bins l = -L..L,
+    sigma2 = (D_0 + 2 sum_{l=1..L} D_l) / (J - 1) * n / (2L + 1); for odd n the factor is 1.
     """
-    J, n = ct.shape[-2], 2 * ct.shape[-1] - 1
+    L = weights.max_frequency
+    ct = ct[..., :L + 1]
+    J = ct.shape[-2]
     mean = ct.mean(axis=-2, keepdims=True)
     D = np.sum(np.abs(ct - mean) ** 2, axis=-2)
-    sigma2 = (D[..., 0] + 2.0 * D[..., 1:].sum(axis=-1)) / (J - 1)
+    sigma2 = (D[..., 0] + 2.0 * D[..., 1:].sum(axis=-1)) / (J - 1) * (n / (2 * L + 1))
     power = np.maximum(np.abs(mean[..., 0, :]) ** 2 - np.asarray(sigma2)[..., None] / (n * J), 0.0)
     scalar = _gamma_scalar(power, weights)
     # Imported here: `statistics` pulls in `fractions` and `decimal`, a few ms
@@ -108,10 +114,10 @@ def _plug_in(ct: np.ndarray, weights: WeightScheme, level: float):
     return sigma2, scalar, np.sqrt(sigma2 * (scalar * 2.0) / n), z
 
 
-def interval_half_widths(ct: np.ndarray, weights: WeightScheme, level: float):
-    """(R,) half-widths z se of the intervals of `confidence_intervals`, for a
-    stack (R, J, L+1) of tables rephased at their alpha_hat; NaN where it raises."""
-    _, _, se, z = _plug_in(ct, weights, level)
+def interval_half_widths(ct: np.ndarray, n: int, weights: WeightScheme, level: float):
+    """(R,) half-widths z se of the intervals of `confidence_intervals`, for a stack
+    (R, J, n//2+1) of n-sample tables rephased at their alpha_hat; NaN where it raises."""
+    _, _, se, z = _plug_in(ct, n, weights, level)
     return z * se
 
 
@@ -138,7 +144,7 @@ def confidence_intervals(
         alpha_hat = ConstrainedShift(free=np.asarray(alpha_hat, dtype=float))
     J = table.n_curves
     aligned = getattr(result, "aligned", None) or rephase(table, full_phases(alpha_hat, J))
-    sigma2, scalar, se, z = _plug_in(aligned.coeffs, weights, level)
+    sigma2, scalar, se, z = _plug_in(aligned.coeffs, table.n_samples, weights, level)
     gamma = _gamma(float(scalar), J)
     se = np.full(J - 1, se)
     centers = alpha_hat.free

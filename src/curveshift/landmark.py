@@ -66,7 +66,7 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
 
 
 def _smoothed(coeffs: np.ndarray, n: int, period: float, config: LandmarkConfig | None):
-    """`smooth` of n-sample curves from coeffs = rfft(y) / n, their `forward_dft` for odd n."""
+    """`smooth` of n-sample curves from coeffs = rfft(y) / n, their `forward_dft`."""
     h = config.bandwidth if config and config.bandwidth else default_bandwidth(n, period)
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
@@ -124,7 +124,7 @@ def landmark_shifts(
 
 
 def _spectrum_shifts(coeffs: np.ndarray, n: int, T: float, config: LandmarkConfig | None):
-    """`landmark_shifts` from coeffs = rfft(samples) / n, for odd n the `transform` table."""
+    """`landmark_shifts` from coeffs = rfft(samples) / n, the `transform` table."""
     locs, ok = _refined_max(_smoothed(coeffs, n, T, config), T)
     shifts = np.full(locs.shape, np.nan)
     first = ok[..., :1]

@@ -25,7 +25,7 @@ contrast is exactly 2pi-periodic in every coordinate, so wrapping preserves
 values while keeping iterates in the principal box.
 
 There is one Newton engine, `_descend`: it runs P problems at once, every
-start of every table of a stack (R, J, L+1), and `minimize` runs it on a
+start of every table of a stack (R, J, n//2+1), and `minimize` runs it on a
 stack of one table.  Each problem keeps its own step, line search, iteration
 count and stop, so its path is the one it would take alone; the problems
 share each rephase, value, gradient, Hessian, Cholesky and solve call.  A
@@ -84,7 +84,7 @@ class Descent:
     f: np.ndarray  # (P,) contrast values there
     iterations: np.ndarray  # (P,) accepted steps
     gradient_max: np.ndarray  # (P,) max-norm of the gradient at x
-    aligned: np.ndarray  # (P, J, L+1) each run's table rephased at x
+    aligned: np.ndarray  # (P, J, n//2+1) each run's table rephased at x
     stop: np.ndarray  # (P,) TOLERANCE, NO_LOWER_VALUE or ITERATION_CAP
     newton: np.ndarray  # (P,) Newton directions taken
     steepest: np.ndarray  # (P,) -g directions taken
@@ -114,8 +114,9 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     Curve j's correlation at phase a is Re sum_l w2_l d_jl conj(d_1l) exp(i l a),
     l = -L..L, maximized over a = 2 pi k/m, k = 0..m-1, where m = q n is a
     whole multiple of n.  The scan is exact on that grid without evaluating
-    all of it.  With p_l = 2 w2_l d_jl conj(d_1l) on l = 0..L, the columns of
-    the table and of `w2`, the correlation is n/2 times
+    all of it.  With p_l = 2 w2_l d_jl conj(d_1l) on the columns of the table
+    and of `w2`, l = 0..n//2, where w2 is 0 on an even n's Nyquist column, the
+    correlation is n/2 times
     f(a) = (1/n) Re sum_l s_l p_l exp(i l a), with s_0 = 1 and s_l = 2 otherwise.
     One real inverse FFT of length n gives f at the coarse points k = q c.  On
     a coarse cell of width h = 2 pi/n, f exceeds its larger endpoint by at most
@@ -127,14 +128,13 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     so an exact tie does not depend on how the FFT rounded.  With q = 1 this
     is the coarse scan alone.
     """
-    n, L = table.n_samples, table.max_frequency
+    n, ls = table.n_samples, table.frequencies
     q = m // n
     coeffs = table.coeffs
     p = 2.0 * (w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :]))
     stacked = p.shape[:-1]
-    p = p.reshape(-1, L + 1)  # every row of every table is scanned at once
+    p = p.reshape(-1, ls.size)  # every row of every table is scanned at once
     coarse = np.fft.irfft(p, n, axis=1)
-    ls = table.frequencies
     terms = p * (np.where(ls == 0, 1.0, 2.0) / n)  # f(a) = Re sum_l terms_l exp(i l a)
     size = np.abs(terms)
     # Bounds the rounding of either evaluation of f; the cell test below
@@ -150,7 +150,7 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         inner = np.exp(2j * np.pi * np.outer(ls, np.arange(1, q)) / m)
         fine = np.empty((rows.size, q - 1))
-        block = max(1, REFINE_BLOCK // (L + 1))
+        block = max(1, REFINE_BLOCK // ls.size)
         for lo in range(0, rows.size, block):
             r, c = rows[lo:lo + block], cells[lo:lo + block]
             fine[lo:lo + block] = ((terms[r] * roots[np.outer(c, ls) % n]) @ inner).real
@@ -167,11 +167,11 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
 
 
 def _starts(ctx: CriterionContext) -> np.ndarray:
-    """Start rows (R, S, J-1) for every table of ctx's (R, J, L+1) stack.
+    """Start rows (R, S, J-1) for every table of ctx's (R, J, n//2+1) stack.
 
     Per table the S rows are the scan start, then under flagged weights the
-    unweighted n-point lag and the zero vector (S = 3, duplicates kept;
-    otherwise S = 1).  The scan grid is the 8n phases 2 pi k/(8n): it holds
+    unweighted n-point lag over l = -L..L and the zero vector (S = 3,
+    duplicates kept; otherwise S = 1).  The scan grid is the 8n phases 2 pi k/(8n): it holds
     every sample-grid shift, so noiseless grid shifts are found exactly, and
     a curve with a zero weighted cross spectrum starts at 0.  Every table's
     scan runs in one `_correlation_argmax` call, and so does every lag.
@@ -180,7 +180,8 @@ def _starts(ctx: CriterionContext) -> np.ndarray:
     n = table.n_samples
     starts = [_correlation_argmax(table, ctx.w2, SCAN_OVERSAMPLING * n)]
     if ctx.weights.fluctuation_warning is not None:
-        starts += [_correlation_argmax(table, np.ones_like(ctx.w2), n), np.zeros_like(starts[0])]
+        unweighted = 1.0 * (table.frequencies <= table.max_frequency)
+        starts += [_correlation_argmax(table, unweighted, n), np.zeros_like(starts[0])]
     return np.stack(starts, axis=1)
 
 
@@ -212,7 +213,7 @@ def _newton_directions(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, ...]:
 def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> Descent:
     """Safeguarded Newton runs from the rows of x0 (P, J-1), stepped together.
 
-    Row p minimizes the contrast of table p of ctx.table, a (P, J, L+1)
+    Row p minimizes the contrast of table p of ctx.table, a (P, J, n//2+1)
     stack.  Each row keeps its own step, line search, Newton-or-steepest-
     descent choice, iteration count and stop, so its run and work counts are
     the ones it would have alone; the rows share each rephase, value,
@@ -225,12 +226,12 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
     80 halvings, or once a rejected trial x + step d rounds to x, as every
     shorter step would too.
     """
-    coeffs, period = ctx.table.coeffs, ctx.table.period
+    coeffs, period, n = ctx.table.coeffs, ctx.table.period, ctx.table.n_samples
     x = wrap_phase(x0)
     P, J = x.shape[0], ctx.n_curves
 
     def rephased(rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        return rephase(SpectralTable(coeffs[rows], period), full_phases(xs, J)).coeffs
+        return rephase(SpectralTable(coeffs[rows], period, n), full_phases(xs, J)).coeffs
 
     # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
     ct = rephased(np.arange(P), x)
@@ -285,7 +286,7 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
 def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Descent:
     """Minimize the contrast of every table of ctx in one stacked Newton pass.
 
-    ctx.table is a stack (R, J, L+1).  Each table's S starts (`_starts`)
+    ctx.table is a stack (R, J, n//2+1).  Each table's S starts (`_starts`)
     are rows of one `_descend` call, and each table keeps its run with the
     lowest criterion value; exact ties go to the lexicographically smallest
     wrapped phase vector, then to the earlier start.  Runs with a value that
@@ -298,7 +299,7 @@ def _minimize_tables(ctx: CriterionContext, config: OptimizerConfig | None = Non
     x0 = _starts(ctx)
     R, S, _ = x0.shape
     owner = np.repeat(np.arange(R), S)
-    table = SpectralTable(ctx.table.coeffs[owner], ctx.table.period)
+    table = SpectralTable(ctx.table.coeffs[owner], ctx.table.period, ctx.table.n_samples)
     runs = _descend(CriterionContext(table, ctx.weights), x0.reshape(R * S, -1), config)
     # lexsort's last key sorts first and its sort is stable: by table, finite
     # values first, then f, then x coordinate by coordinate, then start order.
@@ -321,10 +322,12 @@ def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Es
     keeps that run's table rephased at alpha_hat, from which `estimate`
     takes its intervals and realigned curves.
     """
-    stack = CriterionContext(SpectralTable(ctx.table.coeffs[None], ctx.table.period), ctx.weights)
+    table = ctx.table
+    stack = CriterionContext(SpectralTable(table.coeffs[None], table.period, table.n_samples),
+                             ctx.weights)
     run = _minimize_tables(stack, config)
     alpha = ConstrainedShift(free=run.x[0])
-    theta = alpha.full() * (ctx.table.period / (2.0 * np.pi))
+    theta = alpha.full() * (table.period / (2.0 * np.pi))
     return EstimationResult(
         alpha_hat=alpha,
         theta_hat=theta,
@@ -333,5 +336,5 @@ def minimize(ctx: CriterionContext, config: OptimizerConfig | None = None) -> Es
         converged=bool(run.converged[0]),
         stop=int(run.stop[0]),
         gradient_max=float(run.gradient_max[0]),
-        aligned=SpectralTable(run.aligned[0], ctx.table.period),
+        aligned=SpectralTable(run.aligned[0], table.period, table.n_samples),
     )

@@ -84,8 +84,6 @@ class SimulationSpec:
     confidence: float = 0.95
 
     def __post_init__(self):
-        if self.n_samples % 2 == 0:
-            raise ValueError("n_samples must be odd; truncate the grid first")
         if self.n_samples < 3 or self.n_curves < 2:
             raise ValueError("need n >= 3 samples and J >= 2 curves")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
@@ -109,7 +107,7 @@ class SimulationSpec:
             object.__setattr__(self, "pattern", samples)
         if self.weights is None:
             object.__setattr__(self, "weights", WeightScheme.power(1.3, self.max_frequency))
-        if self.weights.values.size != self.n_samples:
+        if self.weights.max_frequency != self.max_frequency:
             raise ValueError("weight scheme does not match the sample count")
         if self.shifts is not None:
             shifts = np.asarray(self.shifts, dtype=float)
@@ -163,8 +161,8 @@ def _draw(spec: SimulationSpec, indices) -> tuple[np.ndarray, np.ndarray, np.nda
     if isinstance(spec.pattern, str):
         clean = PATTERNS[spec.pattern](spec.times - theta[..., None], T)
     else:
-        pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T)
-        clean = inverse_dft(rephase(pattern, -alpha).coeffs)
+        pattern = SpectralTable(np.tile(forward_dft(spec.pattern, T), (J, 1)), T, n)
+        clean = inverse_dft(rephase(pattern, -alpha).coeffs, n)
     return clean + spec.sigma * noise, theta, alpha
 
 
@@ -198,12 +196,13 @@ def true_coefficients(spec: SimulationSpec) -> np.ndarray:
     FFT of the Simpson-weighted samples (exp(-2 pi i l t/T) is 1 at both ends,
     so the endpoint sample folds onto t = 0).  That result is cached per
     (pattern, L, period), and each call returns a copy.  A custom sampled
-    pattern is its own band-limited truth, so its normalized DFT is returned
-    directly.
+    pattern is its own band-limited truth, so its normalized DFT at l = -L..L
+    is returned directly.
     """
+    L = spec.max_frequency
     if not isinstance(spec.pattern, str):
-        return np.fft.fftshift(np.fft.fft(spec.pattern)) / spec.n_samples
-    return _named_coefficients(spec.pattern, spec.max_frequency, spec.period).copy()
+        return np.fft.fft(spec.pattern)[np.arange(-L, L + 1)] / spec.n_samples
+    return _named_coefficients(spec.pattern, L, spec.period).copy()
 
 
 def theoretical_gamma(spec: SimulationSpec) -> np.ndarray:
@@ -299,7 +298,7 @@ def run_study(
         crit[b], converged[b] = run.f, run.converged
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = run.x
-        half[b] = interval_half_widths(run.aligned, spec.weights, spec.confidence)
+        half[b] = interval_half_widths(run.aligned, n, spec.weights, spec.confidence)
         theta_lm[b], landmark_ok[b] = _spectrum_shifts(table.coeffs, n, T, landmark_config)
     theta_hat = full_phases(alpha_hat, J) * (T / (2.0 * np.pi))
     errors = wrap_phase(alpha_hat - alpha_true)

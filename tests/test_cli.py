@@ -171,27 +171,38 @@ class TestEstimate:
         capsys.readouterr()
         assert calls["elsewhere"] == 0 and calls["engine"] > 0
 
-    def test_even_n_rejected_without_flag(self, tmp_path, capsys):
-        src = tmp_path / "in.csv"
-        write_curves(src, [np.cos(np.arange(100)), np.sin(np.arange(100))])
-        rc = main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "o")])
-        assert rc == 2
-        assert "input" in capsys.readouterr().err
-
-    def test_truncate_even_warns_and_succeeds(self, tmp_path, capsys):
-        n = 102
+    @pytest.mark.parametrize("pattern, theta, n, tol", [
+        ("sinc15", [0.0, 0.3, -0.5, 0.7], 20, 2e-4),
+        ("sinc15", [0.0, 0.3, -0.5, 0.7], 100, 2e-6),
+        ("cosine", [0.0, 0.3, -0.5, 0.7, 1.1], 20, 1e-12),
+    ], ids=["sinc15-20", "sinc15-100", "cosine-20"])
+    def test_even_n_read_as_it_is(self, tmp_path, capsys, pattern, theta, n, tol):
+        # Every sample is kept, and the period is n dt; on noiseless curves
+        # the error is the pattern's aliasing, not a truncation floor.
         t = np.arange(n) * T / n
         src = tmp_path / "in.csv"
-        write_curves(src, [np.cos(t), np.cos(t - 0.4)])
+        write_curves(src, [PATTERNS[pattern](t - th) for th in theta], times=t)
         out = tmp_path / "o"
-        rc = main(["estimate", "--input", str(src), "--output-dir", str(out),
-                   "--truncate-even", "--period", repr(T)])
-        assert rc == 0
-        assert "truncated" in capsys.readouterr().err
+        assert main(["estimate", "--input", str(src), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
         report = json.loads((out / "report.json").read_text())
-        assert report["n_samples"] == 101
-        assert report["n_samples_input"] == 102
-        assert any("truncated" in w for w in report["warnings"])
+        assert report["n_samples"] == report["n_samples_input"] == n
+        assert report["period"] == pytest.approx(T, rel=1e-15)
+        assert np.max(np.abs(np.array(report["theta_hat"]) - theta)) <= tol
+        header, aligned = read_csv(out / "aligned.csv")
+        assert header[0] == "t" and aligned.shape == (n, len(theta) + 1)
+
+    @pytest.mark.parametrize("argv", [["estimate", "--input", "in.csv"],
+                                      ["compare-landmark", "--input", "in.csv"],
+                                      ["compare-landmark"]],
+                             ids=["estimate", "compare-landmark-input", "compare-landmark"])
+    def test_truncate_even_option_is_gone(self, tmp_path, capsys, argv):
+        # Even n is read as it is, so --truncate-even is an unknown option.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--truncate-even", "--output-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --truncate-even" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
     def test_malformed_csv_exit_2(self, tmp_path, capsys, command):
@@ -418,12 +429,12 @@ class TestEstimate:
     @pytest.mark.parametrize("command", ["estimate", "compare-landmark"])
     def test_optimizer_options_checked_before_the_input_is_read(self, tmp_path, capsys,
                                                                  command):
-        # An even-length file under unit weights would warn twice while it is
-        # read and fitted; a bad iteration cap exits 2 before either warning.
+        # A file under unit weights would warn while it is fitted; a bad
+        # iteration cap exits 2 before the file is read.
         src = tmp_path / "in.csv"
         write_curves(src, [np.cos(np.arange(12)), np.sin(np.arange(12))])
         out = tmp_path / "o"
-        rc = main([command, "--input", str(src), "--weights", "unit", "--truncate-even",
+        rc = main([command, "--input", str(src), "--weights", "unit",
                    "--max-iters", "0", "--output-dir", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -478,9 +489,34 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cells"][0]["bias"] == [0.0, 0.0]
 
-    def test_even_samples_rejected(self, tmp_path, capsys):
-        rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--samples", "100"])
+    def test_even_samples_run(self, tmp_path):
+        # A study on an even grid: noiseless cosine shifts come back exactly.
+        out = tmp_path / "s"
+        assert main(["simulate", "--output-dir", str(out), "--pattern", "cosine",
+                     "--curves", "5", "--samples", "20", "--sigma", "0",
+                     "--replicates", "3", "--seed", "4"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_samples"] == 20
+        cell = summary["cells"][0]
+        assert cell["rmse_estimator"] <= 1e-12 and cell["nonconverged"] == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
+    @pytest.mark.parametrize("weights", ["power:1.3", "unit", "file:"])
+    @pytest.mark.parametrize("n", [-3, 0, 1, 2])
+    def test_samples_below_three_rejected(self, tmp_path, capsys, command, weights, n):
+        # The spec checks n before the weights are built for its L.
+        if weights == "file:":
+            weights += str(tmp_path / "w.csv")
+            (tmp_path / "w.csv").write_text("l,delta\n1,1.0\n-1,1.0\n", encoding="utf-8")
+        out = tmp_path / "s"
+        rc = main([command, "--output-dir", str(out), "--samples", str(n), "--weights", weights,
+                   "--replicates", "1"])
         assert rc == 2
+        assert capsys.readouterr().err == ("error: input: need n >= 3 samples and J >= 2 "
+                                           "curves\n")
+        assert not [p for p in out.rglob("*") if p.is_file()]
+
+    def test_malformed_study_options_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--period", "-1"])
         assert rc == 2
         for command in ("simulate", "compare-landmark"):
@@ -721,18 +757,15 @@ class TestCompareLandmark:
 
     @pytest.mark.parametrize("option", ["--pattern=cosine", "--curves=99", "--samples=51",
                                         "--sigma=nan", "--replicates=-4", "--seed=-3",
-                                        "--shifts=0,1", "--confidence=7", "--truncate-even"])
+                                        "--shifts=0,1", "--confidence=7"])
     def test_rejects_the_options_its_mode_does_not_read(self, tmp_path, capsys, option):
-        # Every option but --truncate-even is a study option, which the
-        # input mode does not read; the simulation mode reads no file.
+        # Each option is a study option, which the input mode does not read.
         n = 51
         t = np.arange(n) * T / n
         src = tmp_path / "in.csv"
         write_curves(src, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))])
         out = tmp_path / "cmp"
-        argv = (["--curves", "2", "--samples", str(n), "--replicates", "2"]
-                if option == "--truncate-even" else ["--input", str(src)])
-        rc = main(["compare-landmark", "--output-dir", str(out), *argv, option])
+        rc = main(["compare-landmark", "--output-dir", str(out), "--input", str(src), option])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: input: compare-landmark")
@@ -740,28 +773,32 @@ class TestCompareLandmark:
         assert not (out / "comparison.csv").exists()
 
     def test_input_mode_reads_its_options(self, tmp_path, capsys):
-        n = 52  # even: --truncate-even drops the last sample
-        t = np.arange(n) * T / (n - 1)
+        n = 52
+        t = np.arange(n) * T / n
         src = tmp_path / "in.csv"
         write_curves(src, [np.exp(np.cos(t)), np.exp(np.cos(t - 0.5))])
         out = tmp_path / "cmp"
         rc = main(["compare-landmark", "--input", str(src), "--output-dir", str(out),
                    "--weights", "power:2", "--max-iters", "50",
-                   "--period", repr(T), "--truncate-even", "--bandwidth", "0.2"])
+                   "--period", repr(T), "--bandwidth", "0.2"])
         assert rc == 0
-        assert "last sample truncated" in capsys.readouterr().err
         _, rows = read_csv(out / "comparison.csv")
         assert rows[1, 1] == pytest.approx(0.5, abs=1e-6)
         assert rows[1, 2] == pytest.approx(0.5, abs=0.2)
 
-    def test_input_mode_even_n_rejected_without_flag(self, tmp_path, capsys):
+    def test_input_mode_reads_even_n(self, tmp_path):
+        # An even file gives the estimate of `estimate`, every sample kept.
         n = 50
         t = np.arange(n) * T / n
         src = tmp_path / "in.csv"
         write_curves(src, [np.cos(t), np.cos(t - 0.3)])
-        rc = main(["compare-landmark", "--input", str(src), "--output-dir", str(tmp_path / "o")])
-        assert rc == 2
-        assert "--truncate-even" in capsys.readouterr().err
+        assert main(["compare-landmark", "--input", str(src), "--output-dir",
+                     str(tmp_path / "cmp")]) == 0
+        assert main(["estimate", "--input", str(src), "--output-dir", str(tmp_path / "est")]) == 0
+        _, rows = read_csv(tmp_path / "cmp" / "comparison.csv")
+        _, shifts = read_csv(tmp_path / "est" / "shifts.csv")
+        assert np.array_equal(rows[:, 1], shifts[:, 1])
+        assert rows[1, 1] == pytest.approx(0.3, abs=1e-8)  # within the untaken final step
 
     def test_simulation_mode_defaults_are_simulates(self, tmp_path):
         # Unset study options take simulate's defaults (sinc15, 10 curves,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,23 +245,26 @@ def max_relative(got, ref):
 
 class TestFullTableOracle:
     """The half-table kernels against the contrast and its derivatives summed
-    over l = -L..L of the full table built from it."""
+    over l = -L..L of the full table built from it.  An even n's table holds
+    one more column, the Nyquist term l = n/2, which the kernels weight by 0."""
 
-    def random_tables(self, rng, R, J, L):
+    def random_tables(self, rng, R, J, n):
         # Real curves' tables, and random complex ones, which stand for the
-        # real curves whose l = 0..L coefficients they are.
-        real = transform(CurveSet(samples=rng.normal(size=(R, J, 2 * L + 1)), period=T))
-        coeffs = rng.normal(size=(R, J, L + 1)) + 1j * rng.normal(size=(R, J, L + 1))
-        return [real, SpectralTable(coeffs, T)]
+        # real curves whose l = 0..n//2 coefficients they are.
+        real = transform(CurveSet(samples=rng.normal(size=(R, J, n)), period=T))
+        shape = (R, J, n // 2 + 1)
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return [real, SpectralTable(coeffs, T, n)]
 
     @pytest.mark.parametrize("J, L", [(2, 3), (5, 20), (7, 50)])
     def test_single_tables(self, tmp_path, J, L):
         rng = np.random.default_rng(10 * J + L)
-        for weights in oracle_weight_schemes(tmp_path, L):
-            for stack in self.random_tables(rng, 2, J, L):
+        for n, weights in itertools.product((2 * L + 1, 2 * L + 2),
+                                            oracle_weight_schemes(tmp_path, L)):
+            for stack in self.random_tables(rng, 2, J, n):
                 for coeffs in stack.coeffs:
-                    ctx = CriterionContext(SpectralTable(coeffs, T), weights)
-                    full = full_coeffs(coeffs)
+                    ctx = CriterionContext(SpectralTable(coeffs, T, n), weights)
+                    full = full_coeffs(coeffs[:, :L + 1])
                     alpha = rng.uniform(-np.pi, np.pi, J - 1)
                     alpha_full = np.concatenate([[0.0], alpha])
                     value = brute_force_criterion(full, weights.values, alpha_full)
@@ -275,19 +280,20 @@ class TestFullTableOracle:
 
     @pytest.mark.parametrize("J, L", [(3, 10), (6, 40)])
     def test_stacks(self, tmp_path, J, L):
-        # A stack (R, J, L+1) rephased at R phase vectors gives R values,
+        # A stack (R, J, n//2+1) rephased at R phase vectors gives R values,
         # gradients and Hessians, each that of its own full table.
         rng = np.random.default_rng(J + L)
         R = 4
-        for weights in oracle_weight_schemes(tmp_path, L):
-            for stack in self.random_tables(rng, R, J, L):
+        for n, weights in itertools.product((2 * L + 1, 2 * L + 2),
+                                            oracle_weight_schemes(tmp_path, L)):
+            for stack in self.random_tables(rng, R, J, n):
                 ctx = CriterionContext(stack, weights)
                 alpha = np.concatenate([np.zeros((R, 1)), rng.uniform(-np.pi, np.pi, (R, J - 1))],
                                        axis=1)
                 ct = rephase(stack, alpha).coeffs
                 values, grads, hessians = _value(ctx, ct), _gradient(ctx, ct), _hessian(ctx, ct)
                 for r in range(R):
-                    full = full_coeffs(stack.coeffs[r])
+                    full = full_coeffs(stack.coeffs[r, :, :L + 1])
                     grad, H = full_table_derivatives(full, weights.values, alpha[r])
                     value = brute_force_criterion(full, weights.values, alpha[r])
                     assert values[r] == pytest.approx(value, rel=1e-12)

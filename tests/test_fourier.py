@@ -57,11 +57,29 @@ class TestForwardDft:
             expected = np.exp(-2j * np.pi * k * ls / n) * forward_dft(x, T)
             assert np.max(np.abs(shifted - expected)) < 1e-12
 
-    def test_even_n_rejected_with_truncation_hint(self):
-        with pytest.raises(ValueError, match="[Tt]runcate"):
-            forward_dft(np.zeros(10), T)
-        with pytest.raises(ValueError, match="odd"):
-            transform(CurveSet(samples=np.zeros((2, 8)) + 1.0, period=T))
+    def test_even_n_is_the_real_fft(self):
+        # Every n: rfft(x) / n, columns l = 0..n//2.  An even n's last column
+        # is the Nyquist term, beyond L = (n-1)//2; below it the columns are
+        # the defining sums.
+        rng = np.random.default_rng(11)
+        for n in (4, 10, 100):
+            x = rng.normal(size=(2, n))
+            c = forward_dft(x, T)
+            assert c.shape == (2, n // 2 + 1)
+            assert np.array_equal(c, np.fft.rfft(x) / n)
+            table = transform(CurveSet(samples=x, period=T))
+            assert (table.n_samples, table.max_frequency) == (n, n // 2 - 1)
+            assert np.array_equal(table.frequencies, np.arange(n // 2 + 1))
+            for row, coeffs in zip(x, c):
+                assert np.max(np.abs(full_coeffs(coeffs[:n // 2]) - brute_force_dft(row))) < 1e-12
+
+    def test_table_columns_must_match_n(self):
+        # n//2 + 1 columns: 3 fit n = 4 and 5, and no other n.
+        for n in (4, 5):
+            assert SpectralTable(np.ones((2, 3)), T, n).n_samples == n
+        for n in (3, 6, 7):
+            with pytest.raises(ValueError, match="does not hold"):
+                SpectralTable(np.ones((2, 3)), T, n)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -69,13 +87,12 @@ class TestForwardDft:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.integers(min_value=1, max_value=50),
+        st.integers(min_value=3, max_value=101),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    def test_round_trip_random_curves(self, half, seed):
-        n = 2 * half + 1
+    def test_round_trip_random_curves(self, n, seed):
         x = np.random.default_rng(seed).uniform(-100.0, 100.0, size=n)
-        back = inverse_dft(forward_dft(x, T))
+        back = inverse_dft(forward_dft(x, T), n)
         scale = max(np.max(np.abs(x)), 1e-12)
         assert np.max(np.abs(back - x)) / scale < 1e-10
 
@@ -141,7 +158,7 @@ class TestRephase:
         # sin gives it, which 1j * -0.0 does not keep.
         rng = np.random.default_rng(len(shape))
         table = SpectralTable(rng.normal(size=shape + (41,)) + 1j * rng.normal(size=shape + (41,)),
-                              T)
+                              T, 81)
         a = rng.uniform(-4.0, 4.0, shape)
         a.reshape(-1)[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6]
         angles = a[..., None] * table.frequencies
@@ -149,7 +166,7 @@ class TestRephase:
         zero = (angles == 0.0) & (table.frequencies != 0)
         phases.imag[zero] = angles[zero]
         # Times 1 - 0i, every product term is exact and keeps the phasor's bits.
-        ones = SpectralTable(np.full(table.coeffs.shape, complex(1.0, -0.0)), T)
+        ones = SpectralTable(np.full(table.coeffs.shape, complex(1.0, -0.0)), T, 81)
         got = rephase(ones, a).coeffs
         assert np.array_equal(got.view(np.uint64), phases.view(np.uint64))
         expected = table.coeffs * phases
@@ -160,7 +177,7 @@ class TestRephase:
         # exp(i * 2 * pi/2) * 1 = exp(i pi) = -1
         coeffs = np.zeros((2, 3), dtype=complex)
         coeffs[1, 2] = 1.0  # l = +2
-        table = SpectralTable(coeffs=coeffs, period=T)
+        table = SpectralTable(coeffs=coeffs, period=T, n_samples=5)
         out = rephase(table, np.array([0.0, np.pi / 2]))
         assert out.coeffs[1, 2] == pytest.approx(-1.0 + 0.0j, abs=1e-15)
 
@@ -179,9 +196,24 @@ class TestRephase:
 
     def test_round_trip_through_synthesize(self):
         rng = np.random.default_rng(6)
-        curves = CurveSet(samples=rng.normal(size=(2, 13)), period=T)
-        again = synthesize(transform(curves))
-        assert np.max(np.abs(again.samples - curves.samples)) < 1e-12
+        for n in (13, 12):
+            curves = CurveSet(samples=rng.normal(size=(2, n)), period=T)
+            again = synthesize(transform(curves))
+            assert again.samples.shape == (2, n)
+            assert np.max(np.abs(again.samples - curves.samples)) < 1e-12
+
+
+    def test_nyquist_term_keeps_its_cosine(self):
+        # x_m = (-1)^m is the Nyquist term alone; rephased by a it
+        # synthesizes to cos((n/2) a) (-1)^m, the real part of exp(i (n/2) a).
+        n = 8
+        alternating = np.tile([1.0, -1.0], (2, n // 2))
+        table = transform(CurveSet(samples=alternating, period=T))
+        assert np.max(np.abs(table.coeffs[:, :-1])) < 1e-15
+        a = np.array([0.0, 0.3])
+        again = synthesize(rephase(table, a)).samples
+        expected = np.cos(n // 2 * a)[:, None] * alternating
+        assert np.max(np.abs(again - expected)) < 1e-14
 
 
 class TestRephasedMean:
@@ -195,7 +227,7 @@ class TestRephasedMean:
         coeffs = np.zeros((2, 3), dtype=complex)
         coeffs[0, 1] = 1.0  # l = +1
         coeffs[1, 1] = np.exp(1j * np.pi)
-        table = SpectralTable(coeffs=coeffs, period=T)
+        table = SpectralTable(coeffs=coeffs, period=T, n_samples=5)
         mean = rephase(table, np.zeros(2)).coeffs.mean(axis=-2)
         assert abs(mean[1]) < 1e-15
 
@@ -302,7 +334,7 @@ class TestCurveSet:
 @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan, 0.0, -1.0])
 @pytest.mark.parametrize("make", [
     lambda period: CurveSet(samples=np.ones((2, 5)), period=period),
-    lambda period: SpectralTable(coeffs=np.ones((2, 5)), period=period),
+    lambda period: SpectralTable(coeffs=np.ones((2, 5)), period=period, n_samples=9),
     lambda period: forward_dft(np.ones(5), period),
     lambda period: smooth(np.ones(5), period),
 ], ids=["CurveSet", "SpectralTable", "forward_dft", "smooth"])

@@ -46,23 +46,25 @@ class TestNoiseVariance:
 
     def test_single_curve_rejected(self):
         coeffs = np.zeros((1, 5), dtype=complex)
-        table = SpectralTable(coeffs=coeffs, period=T)
+        table = SpectralTable(coeffs=coeffs, period=T, n_samples=9)
         with pytest.raises(ValueError, match="single curve"):
             confidence_intervals(np.zeros(0), table, WeightScheme.unit(2))
 
     @pytest.mark.parametrize("sigma", [1.0, 3.0])
     def test_monte_carlo_unbiased(self, sigma):
         # 500 replicates at the true phases; the estimator mean must sit
-        # within 3 Monte Carlo standard errors of sigma^2.
-        spec = SimulationSpec(pattern="sinc15", n_curves=10, n_samples=101,
-                              sigma=sigma, replicates=500, seed=314)
-        vals = np.empty(500)
-        for r in range(500):
-            rep = generate(spec, r)
-            report = confidence_intervals(rep.alpha[1:], transform(rep.curves), spec.weights)
-            vals[r] = report.sigma2_hat
-        se = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(vals.mean() - sigma**2) < 3 * se
+        # within 3 Monte Carlo standard errors of sigma^2.  At n = 100 it
+        # reads the 99 bins l = -49..49 and rescales them by 100/99.
+        for n in (101, 100):
+            spec = SimulationSpec(pattern="sinc15", n_curves=10, n_samples=n,
+                                  sigma=sigma, replicates=500, seed=314)
+            vals = np.empty(500)
+            for r in range(500):
+                rep = generate(spec, r)
+                report = confidence_intervals(rep.alpha[1:], transform(rep.curves), spec.weights)
+                vals[r] = report.sigma2_hat
+            se = vals.std(ddof=1) / np.sqrt(len(vals))
+            assert abs(vals.mean() - sigma**2) < 3 * se, n
 
 
 class TestGamma:
@@ -183,7 +185,7 @@ class TestConfidenceIntervals:
             assert np.array_equal(report.intervals_alpha[:, 0], -(z * report.std_errors))
             expected.append(z * report.std_errors[0])
         ct = np.stack([t.coeffs for t in tables])
-        assert np.array_equal(interval_half_widths(ct, spec.weights, level), expected)
+        assert np.array_equal(interval_half_widths(ct, 101, spec.weights, level), expected)
 
     def test_nominal_value_from_spec_arithmetic(self):
         # With n = 100 the half width is 1.96 * 2/10 = 0.392 (to 3 decimals);
@@ -273,21 +275,22 @@ class TestConfidenceIntervals:
     def test_stacked_half_widths_equal_single_reports(self):
         # The study's stacked inference gives each table the half width of its
         # own report; a NaN marks the table whose Gamma cannot be estimated.
-        spec = SimulationSpec(pattern="sinc15", n_curves=3, n_samples=101, sigma=1.0,
-                              replicates=4, seed=9)
-        tables, centers = [], []
-        for r in range(spec.replicates):
-            table = transform(generate(spec, r).curves)
-            tables.append(table)
-            centers.append(minimize(CriterionContext(table, spec.weights)).alpha_hat)
-        flat = np.zeros_like(tables[0].coeffs)  # Gamma undefined: no pattern power
-        ct = np.stack([rephase(t, c.full()).coeffs for t, c in zip(tables, centers)] + [flat])
-        half = interval_half_widths(ct, spec.weights, 0.9)
-        for r, (table, center) in enumerate(zip(tables, centers)):
-            ci = confidence_intervals(center, table, spec.weights, 0.9).intervals_alpha
-            assert np.array_equal(ci[:, 1], center.free + half[r])
-            assert np.array_equal(ci[:, 0], center.free - half[r])
-        assert np.isnan(half[-1])
+        for n in (101, 100):
+            spec = SimulationSpec(pattern="sinc15", n_curves=3, n_samples=n, sigma=1.0,
+                                  replicates=4, seed=9)
+            tables, centers = [], []
+            for r in range(spec.replicates):
+                table = transform(generate(spec, r).curves)
+                tables.append(table)
+                centers.append(minimize(CriterionContext(table, spec.weights)).alpha_hat)
+            flat = np.zeros_like(tables[0].coeffs)  # Gamma undefined: no pattern power
+            ct = np.stack([rephase(t, c.full()).coeffs for t, c in zip(tables, centers)] + [flat])
+            half = interval_half_widths(ct, n, spec.weights, 0.9)
+            for r, (table, center) in enumerate(zip(tables, centers)):
+                ci = confidence_intervals(center, table, spec.weights, 0.9).intervals_alpha
+                assert np.array_equal(ci[:, 1], center.free + half[r])
+                assert np.array_equal(ci[:, 0], center.free - half[r])
+            assert np.isnan(half[-1])
 
     def test_time_interval_scaling(self):
         n = 101

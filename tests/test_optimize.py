@@ -32,14 +32,15 @@ INITIALIZER_RATE_BOUND = 0.95
 
 
 def lag_start(table):
-    """The unweighted n-point phase-correlation lag of each curve against curve 1,
-    as a per-curve loop independent of `optimize._correlation_argmax`."""
-    n = table.n_samples
+    """The unweighted n-point phase-correlation lag over l = -L..L of each curve
+    against curve 1, as a per-curve loop independent of `optimize._correlation_argmax`."""
+    n, L = table.n_samples, table.max_frequency
     start = np.zeros(table.n_curves - 1)
-    full = full_coeffs(table)  # l = -L..L
+    full = full_coeffs(table.coeffs[:, :L + 1])  # l = -L..L
     for j in range(1, table.n_curves):
-        p = full[j] * np.conj(full[0])
-        k = int(np.argmax(np.fft.ifft(np.fft.ifftshift(p)).real))
+        p = np.zeros(n, dtype=complex)  # bins l mod n; an even n's Nyquist bin stays 0
+        p[np.arange(-L, L + 1) % n] = full[j] * np.conj(full[0])
+        k = int(np.argmax(np.fft.ifft(p).real))
         start[j - 1] = wrap_phase(2.0 * np.pi * (k - n if k > n // 2 else k) / n)
     return start
 
@@ -51,7 +52,8 @@ def cosine_curves(alphas_full, n=101):
 
 def stack_of_one(ctx):
     """The context over ctx's table as a stack (1, J, L+1), as the engine takes it."""
-    return CriterionContext(SpectralTable(ctx.table.coeffs[None], T), ctx.weights)
+    return CriterionContext(SpectralTable(ctx.table.coeffs[None], T, ctx.table.n_samples),
+                            ctx.weights)
 
 
 def start_rows(ctx):
@@ -79,7 +81,8 @@ class TestStarts:
         # Flagged weights: scan, lag and zero starts, all zero and all kept.
         coeffs = np.zeros((2, 6), dtype=complex)
         coeffs[:, 0] = 3.0  # only l = 0 carries energy
-        ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), WeightScheme.unit(5))
+        ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T, n_samples=11),
+                               WeightScheme.unit(5))
         assert np.array_equal(start_rows(ctx), np.zeros((3, 1)))
         assert np.array_equal(minimize(ctx).alpha_hat.free, np.zeros(1))
 
@@ -119,7 +122,7 @@ class TestStarts:
         L, m = 6, 8 * 13
         coeffs = rng.normal(size=(2, L + 1)) + 1j * rng.normal(size=(2, L + 1))
         weights = WeightScheme.power(1.3, L)
-        ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T), weights)
+        ctx = CriterionContext(SpectralTable(coeffs=coeffs, period=T, n_samples=13), weights)
         grid = 2.0 * np.pi * np.arange(m) / m
         ls = np.arange(-L, L + 1)
         full = full_coeffs(coeffs)
@@ -129,15 +132,22 @@ class TestStarts:
         assert abs(wrap_phase(start_rows(ctx)[0][0] - best)) < 1e-12
 
     def test_flagged_weights_add_lag_and_zero_starts(self):
-        spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=101, sigma=1.0,
-                              replicates=1, seed=2)
-        table = transform(generate(spec, 0).curves)
-        assert len(start_rows(CriterionContext(table, spec.weights))) == 1
-        for weights in (WeightScheme.unit(50), WeightScheme.power(1.0, 50)):
-            starts = start_rows(CriterionContext(table, weights))
-            assert len(starts) == 3
-            assert np.array_equal(starts[1], lag_start(table))
-            assert np.array_equal(starts[2], np.zeros(4))
+        # At n = 100 the curves carry a strong Nyquist term of alternating
+        # sign, which would pull a lag that read it onto odd sample steps.
+        for n in (101, 100):
+            spec = SimulationSpec(pattern="sinc15", n_curves=5, n_samples=n, sigma=1.0,
+                                  replicates=1, seed=2)
+            samples = generate(spec, 0).curves.samples
+            if n % 2 == 0:
+                samples = samples + 30.0 * np.outer([1, -1, 1, -1, 1], (-1.0) ** np.arange(n))
+            table = transform(CurveSet(samples=samples, period=T))
+            assert len(start_rows(CriterionContext(table, spec.weights))) == 1
+            L = spec.max_frequency
+            for weights in (WeightScheme.unit(L), WeightScheme.power(1.0, L)):
+                starts = start_rows(CriterionContext(table, weights))
+                assert len(starts) == 3
+                assert np.array_equal(starts[1], lag_start(table))
+                assert np.array_equal(starts[2], np.zeros(4))
 
 
 class TestMinimize:
@@ -296,7 +306,8 @@ class TestMinimize:
             low -= gradient(ctx, [low])[0] / hessian(ctx, [low])[0, 0]
         f_low = evaluate(ctx, [low])
         lag_and_zero = CriterionContext(
-            SpectralTable(np.repeat(ctx.table.coeffs[None], 2, axis=0), T), ctx.weights)
+            SpectralTable(np.repeat(ctx.table.coeffs[None], 2, axis=0), T, ctx.table.n_samples),
+            ctx.weights)
         others = optimize._descend(lag_and_zero, start_rows(ctx)[1:], OptimizerConfig())
         assert np.all(others.f > f_low + 1e-6)
         res = minimize(ctx)
@@ -373,7 +384,8 @@ def stacked_contexts(pattern, weights, n_curves, n_samples, sigma, replicates, s
     spec = SimulationSpec(pattern, n_curves=n_curves, n_samples=n_samples, sigma=sigma,
                           weights=weights, replicates=replicates, seed=seed)
     tables = [transform(generate(spec, r).curves) for r in range(replicates)]
-    stacked = SpectralTable(coeffs=np.stack([t.coeffs for t in tables]), period=T)
+    stacked = SpectralTable(coeffs=np.stack([t.coeffs for t in tables]), period=T,
+                            n_samples=n_samples)
     return CriterionContext(stacked, weights), [CriterionContext(t, weights) for t in tables]
 
 
@@ -390,7 +402,8 @@ def assert_rows_equal(stacked, singles, weights):
                 assert np.array_equal(a, b), (p, field.name)
             else:
                 assert np.max(np.abs(a - b)) <= 1e-12, (p, field.name)
-    ctx = CriterionContext(SpectralTable(stacked.aligned, T), weights)
+    n = 2 * weights.max_frequency + 1
+    ctx = CriterionContext(SpectralTable(stacked.aligned, T, n), weights)
     H, g = criterion._hessian(ctx, stacked.aligned), criterion._gradient(ctx, stacked.aligned)
     step = np.max(np.abs(np.linalg.solve(H, g[..., None])[..., 0]), axis=-1)
     meets = (np.linalg.eigvalsh(H)[:, 0] > 0.0) & (step <= optimize.FINAL_STEP)
@@ -434,7 +447,7 @@ class TestStackedEngine:
                                             6, 3)
         x0 = np.vstack([optimize._starts(stacked)[:, 0], np.zeros(3), [3.0, 3.0, -3.0]])
         owner = np.r_[np.arange(6), 0, 1]
-        table = SpectralTable(coeffs=stacked.table.coeffs[owner], period=T)
+        table = SpectralTable(coeffs=stacked.table.coeffs[owner], period=T, n_samples=101)
         return CriterionContext(table, stacked.weights), [singles[r] for r in owner], x0
 
     @pytest.mark.parametrize("max_iterations", [3, 500])
@@ -562,7 +575,7 @@ class TestDescent:
         # step does not descend (g.d = 0) and `_newton_directions` marks it
         # steep, but the step's length, 0, meets the stop test at once.
         coeffs = np.array([[[0.0, 1.0, 0.5, 0.25]] * 2], dtype=complex)
-        ctx = CriterionContext(SpectralTable(coeffs, T), WeightScheme.power(1.3, 3))
+        ctx = CriterionContext(SpectralTable(coeffs, T, 7), WeightScheme.power(1.3, 3))
         run = optimize._descend(ctx, np.zeros((1, 1)), OptimizerConfig())
         assert run.gradient_max[0] == 0.0
         assert run.stop[0] == optimize.TOLERANCE and run.converged[0]
@@ -595,7 +608,7 @@ class TestDescent:
             rejected=np.arange(P))
         monkeypatch.setattr(optimize, "_descend", lambda ctx, x0, config: fake)
         coeffs = np.ones((2, 2, 2), dtype=complex)
-        ctx = CriterionContext(SpectralTable(coeffs, T), WeightScheme.unit(1))
+        ctx = CriterionContext(SpectralTable(coeffs, T, 3), WeightScheme.unit(1))
         return optimize._minimize_tables(ctx).rejected
 
     def test_winner_rule(self, monkeypatch):
@@ -622,7 +635,7 @@ def engine_hessians(pattern, n_curves, replicates):
     spec = SimulationSpec(pattern=pattern, n_curves=n_curves, n_samples=401, sigma=0.5,
                           replicates=replicates, seed=3)
     tables = [transform(generate(spec, r).curves) for r in range(replicates)]
-    table = SpectralTable(np.stack([t.coeffs for t in tables]), T)
+    table = SpectralTable(np.stack([t.coeffs for t in tables]), T, 401)
     ctx = CriterionContext(table, spec.weights)
     x0 = optimize._starts(ctx)[:, 0]
     ct = rephase(table, criterion.full_phases(x0, n_curves)).coeffs

@@ -34,19 +34,20 @@ from curveshift.landmark import _refined_max
 from curveshift.optimize import _correlation_argmax
 
 T = 2.0 * np.pi
-SIZES = [3, 5, 101, 401, 2001]
+SIZES = [3, 4, 5, 100, 101, 401, 2001]
 
 
 def full_grid_values(table, w2, m):
     """Each curve's w2-weighted correlation with curve 1 at 2 pi k/m, k = 0..m-1, times 2/m.
 
-    `w2` is given on the table's columns l = 0..L; the sum runs over l = -L..L
-    of the full table and weights built here.  A stacked table (R, J, L+1)
-    gives one (J-1, m) block per table.
+    `w2` is given on the table's columns l = 0..n//2; the sum runs over
+    l = -L..L of the full table and weights built here, which leaves out an
+    even n's Nyquist column.  A stacked table (R, J, n//2+1) gives one
+    (J-1, m) block per table.
     """
     L = table.max_frequency
-    coeffs = full_coeffs(table)
-    w2 = np.concatenate([w2[:0:-1], w2])
+    coeffs = full_coeffs(table.coeffs[..., :L + 1])
+    w2 = np.concatenate([w2[L:0:-1], w2[:L + 1]])
     cross = w2 * coeffs[..., 1:, :] * np.conj(coeffs[..., :1, :])
     half = cross[..., L:] + np.conj(cross[..., L::-1])
     return np.fft.irfft(half, m, axis=-1)
@@ -94,19 +95,20 @@ def row_loop(rows, period, smooth_row):
 
 
 def weight_sets(n):
-    """w2 on l = 0..L under unit and power:1.3 weights, and the lag start's all-ones weights."""
+    """w2 on l = 0..n//2 under unit and power:1.3 weights, and the lag start's all-ones
+    weights, each 0 on an even n's Nyquist column."""
     L = (n - 1) // 2
-    return [WeightScheme.unit(L).values[L:] ** 2, WeightScheme.power(1.3, L).values[L:] ** 2,
-            np.ones(L + 1)]
+    halves = [WeightScheme.unit(L).values[L:] ** 2, WeightScheme.power(1.3, L).values[L:] ** 2,
+              np.ones(L + 1)]
+    return [np.pad(w2, (0, n // 2 - L)) for w2 in halves]
 
 
 def single_frequency_table(n, l, phases):
     """Curve 1 carries only frequencies +-l; curve j+1 is curve 1 shifted by phases[j]."""
-    L = (n - 1) // 2
-    ls = np.arange(L + 1)
+    ls = np.arange(n // 2 + 1)
     base = np.where(ls == l, 1.0, 0.0).astype(complex)
     rows = [base] + [base * np.exp(-1j * ls * a) for a in phases]
-    return SpectralTable(coeffs=np.array(rows), period=T)
+    return SpectralTable(coeffs=np.array(rows), period=T, n_samples=n)
 
 
 class TestScanOracle:
@@ -117,7 +119,7 @@ class TestScanOracle:
         real = transform(CurveSet(samples=rng.normal(size=(6, n)), period=T))
         L = n // 2
         coeffs = rng.normal(size=(6, L + 1)) + 1j * rng.normal(size=(6, L + 1))
-        random_complex = SpectralTable(coeffs=coeffs, period=T)
+        random_complex = SpectralTable(coeffs=coeffs, period=T, n_samples=n)
         noisy = [transform(generate(SimulationSpec(pattern, n_curves=6, n_samples=n, sigma=sigma,
                                                    replicates=1, seed=q), 0).curves)
                  for pattern in ("sinc15", "cosine") for sigma in (0.3, 3.0)]

@@ -55,9 +55,11 @@ class TestPatterns:
 
 
 class TestSpecValidation:
-    def test_even_n_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="odd"):
-            SimulationSpec(pattern="cosine", n_samples=100)
+    def test_even_n_accepted(self):
+        spec = SimulationSpec(pattern="cosine", n_samples=100)
+        assert spec.max_frequency == 49
+        assert np.array_equal(spec.weights.values, WeightScheme.power(1.3, 49).values)
+        assert generate(spec, 0).curves.samples.shape == (10, 100)
 
     def test_unknown_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
@@ -103,9 +105,11 @@ class TestSpecValidation:
         ({"confidence": 0.0}, "confidence must lie in"),
         ({"confidence": 1.0}, "confidence must lie in"),
         ({"weights": WeightScheme.unit(4)}, "weight scheme does not match"),
+        ({"n_samples": 10, "weights": WeightScheme.unit(5)}, "weight scheme does not match"),
         ({"n_curves": 3, "shifts": np.array([0.0, 0.5])}, "one value per curve"),
+        *(({"n_samples": n}, "need n >= 3 samples") for n in (-3, 0, 1, 2)),
     ], ids=["one-curve", "no-replicates", "confidence-0", "confidence-1", "weights-size",
-            "shifts-length"])
+            "weights-size-even", "shifts-length", "n=-3", "n=0", "n=1", "n=2"])
     def test_out_of_range_parameters_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             SimulationSpec(pattern="cosine", **{"n_samples": 11, **kwargs})
@@ -173,13 +177,13 @@ class TestGenerate:
     def test_custom_pattern_spectral_shift(self):
         # A custom sampled pattern is shifted in the frequency domain; for a
         # band-limited sample vector and a grid shift this is a circular roll.
-        n = 31
-        t = np.arange(n) * T / n
-        base = np.cos(t) + 0.3 * np.sin(3 * t)
-        spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n, sigma=0.0,
-                              shifts=np.array([0.0, 4 * T / n]), replicates=1)
-        rep = generate(spec, 0)
-        assert np.allclose(rep.curves.samples[1], np.roll(base, 4), atol=1e-12)
+        for n in (31, 30):
+            t = np.arange(n) * T / n
+            base = np.cos(t) + 0.3 * np.sin(3 * t)
+            spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n, sigma=0.0,
+                                  shifts=np.array([0.0, 4 * T / n]), replicates=1)
+            rep = generate(spec, 0)
+            assert np.allclose(rep.curves.samples[1], np.roll(base, 4), atol=1e-12)
 
 
 class TestTrueCoefficients:
@@ -230,11 +234,13 @@ class TestTrueCoefficients:
         assert np.array_equal(theoretical_gamma(spec), theoretical_gamma(spec))
 
     def test_custom_pattern_uses_own_transform(self):
-        n = 21
-        base = np.cos(np.arange(n) * T / n)
-        spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n)
-        # Over l = -L..L, the l >= 0 half being the table's own transform.
-        assert np.allclose(true_coefficients(spec), full_coeffs(forward_dft(base, T)), atol=1e-15)
+        for n in (21, 20):
+            base = np.cos(np.arange(n) * T / n)
+            spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n)
+            # Over l = -L..L, the l >= 0 half being the table's own transform
+            # (without an even n's Nyquist column).
+            own = forward_dft(base, T)[:spec.max_frequency + 1]
+            assert np.allclose(true_coefficients(spec), full_coeffs(own), atol=1e-15)
 
 
 class TestTheoreticalGamma:
@@ -407,7 +413,7 @@ class TestStackedStudy:
         assert summary.inference_failures == 0
         assert np.array_equal(summary.coverage, np.mean(covered, axis=0))
 
-    @pytest.mark.parametrize("pattern, n", [("cosine", 401), ("sinc15", 101)])
+    @pytest.mark.parametrize("pattern, n", [("cosine", 401), ("sinc15", 101), ("sinc15", 100)])
     def test_landmarks_equal_per_replicate_landmark_shifts(self, pattern, n):
         # A study smooths from the block's table; each replicate's landmark
         # shifts are those of `landmark_shifts` on its curves, bit for bit.
@@ -448,8 +454,8 @@ class TestStackedStudy:
                               weights=weights, replicates=12, seed=31)
         halves = []
 
-        def recording(ct, w, level):
-            halves.append(inference.interval_half_widths(ct, w, level))
+        def recording(ct, n, w, level):
+            halves.append(inference.interval_half_widths(ct, n, w, level))
             return halves[-1]
 
         monkeypatch.setattr(simulate, "interval_half_widths", recording)
@@ -457,7 +463,7 @@ class TestStackedStudy:
         samples = simulate._draw(spec, range(spec.replicates))[0]
         table = transform(CurveSet(samples=samples, period=T))
         ct = rephase(table, full_phases(summary.alpha_hat, spec.n_curves)).coeffs
-        expected = inference.interval_half_widths(ct, weights, spec.confidence)
+        expected = inference.interval_half_widths(ct, 101, weights, spec.confidence)
         assert len(halves) == 1
         assert np.array_equal(halves[0].view(np.uint64), expected.view(np.uint64))
 

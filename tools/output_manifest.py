@@ -19,11 +19,15 @@ standard error and its arguments, then one line per command with the Newton
 engine's work, summed over every run of `optimize._descend`: points
 rephased, Newton and -g directions, rejected line-search trials, and the runs
 that stopped converged (`tolerance`), with no lower value and at the
-iteration cap.  The last commands give a truth near T/2, non-finite shifts,
-malformed or missing files, a non-finite or zero bandwidth, a non-finite
-period, a zero iteration cap and an all-zero weight file, so their exit codes
-and stderr hashes cover the error paths.  The work counts are deterministic, so
-two commits can be compared on work without timing noise.
+iteration cap.  Near the end, commands give a truth near T/2, non-finite
+shifts, malformed or missing files, a non-finite or zero bandwidth, a
+non-finite period, a zero iteration cap and an all-zero weight file, so their
+exit codes and stderr hashes cover the error paths.  The last commands read
+an even n as it is: `estimate` and `compare-landmark` on a 30-curve file of
+400 samples under each weight scheme, `simulate --samples 100`, and a
+pattern-file study at n = 100.  Versions of curveshift that refused even n
+exit 2 on these.  The work counts are deterministic, so two commits can be
+compared on work without timing noise.
 
 `--numbers` writes one tab-separated line per value instead, grouped by
 command directory and file and sorted by group: per command its exit code
@@ -140,6 +144,14 @@ def commands() -> list[list[str]]:
     Path("zero.csv").write_text("l,delta\n1,0.0\n-1,0.0\n", encoding="utf-8")
     runs.append(["simulate", "--weights", "file:zero.csv"])
     runs.append(["estimate", "--input", "wide-0.csv", "--weights", "unit", "--max-iters", "0"])
+    sinc15_input("even-0.csv", [4, 30, 0], 30, 400)
+    for weights in WEIGHTS:
+        for command in ("estimate", "compare-landmark"):
+            runs.append([command, "--input", "even-0.csv", "--weights", weights])
+    runs.append(["simulate", "--samples", "100"])
+    pattern_input("pattern-100.csv", 100)
+    runs.append(["simulate", "--pattern", "file:pattern-100.csv", "--curves", "6",
+                 "--samples", "100", "--sigma", "0.5", "--replicates", "20", "--seed", "11"])
     return runs
 
 
