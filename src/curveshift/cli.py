@@ -180,7 +180,8 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
             raise _input_error(f"bad weight exponent in {token!r}") from exc
     if not token.startswith("file:"):
         raise _input_error(f"unknown weight spec {token!r} (use power:<beta>, unit or file:<path>)")
-    values = np.zeros(2 * max_frequency + 1)
+    L = max_frequency
+    values = np.zeros(2 * L + 1)  # delta_l at l + L for the file's l = -L..L
     path = Path(token.split(":", 1)[1])
     lines = _text_lines(path, "weight file ")
     start = 1 if lines and lines[0][1].replace(" ", "") == "l,delta" else 0
@@ -194,18 +195,20 @@ def _materialize_weights(token: str, max_frequency: int) -> WeightScheme:
         if l in seen:
             raise _input_error(f"{path}: line {i}: frequency l = {l} is listed twice")
         seen.add(l)
-        if abs(l) > max_frequency:
-            raise _input_error(f"{path}: line {i}: frequency l = {l} exceeds the data's "
-                               f"L = {max_frequency}")
-        values[l + max_frequency] = d
-    values[max_frequency] = 0.0
+        if abs(l) > L:
+            raise _input_error(f"{path}: line {i}: frequency l = {l} exceeds the data's L = {L}")
+        values[l + L] = d
+    values[L] = 0.0
     try:
-        return WeightScheme.custom(values)
+        weights = WeightScheme.custom(values[L:])
     except ValueError as exc:
         raise _input_error(f"{path}: {exc}") from exc
+    if not np.allclose(values, values[::-1], rtol=0, atol=1e-12):
+        raise _input_error(f"{path}: weights must be symmetric in l")
+    return weights
 
 
-def _load_pattern(token: str, n_samples: int):
+def _load_pattern(token: str):
     """Pattern for a study: a registered name, or file:<csv> with one curve."""
     if token in PATTERNS:
         return token
@@ -215,10 +218,6 @@ def _load_pattern(token: str, n_samples: int):
     names, _, data = _read_curves_csv(path)
     if len(names) != 1:
         raise _input_error(f"{path}: pattern file must contain exactly one curve column")
-    if data.shape[0] != n_samples:
-        raise _input_error(
-            f"{path}: pattern has {data.shape[0]} samples but the study uses {n_samples}"
-        )
     return data[:, 0]
 
 
@@ -239,11 +238,7 @@ def _read_input(args):
     sample kept; the period comes from --period, else the t column (n * dt), else 2 pi.
     """
     names, times, data = _read_curves_csv(Path(args.input))
-    if data.shape[1] < 2:
-        raise _input_error(f"{args.input}: need at least two curve columns")
     n = data.shape[0]
-    if n < 3:
-        raise _input_error(f"{args.input}: need at least 3 samples per curve, got {n}")
     if args.period is not None:
         period = args.period
     elif times is not None:
@@ -375,7 +370,7 @@ def _build_spec(args, sigma: float, weight_token: str, n: int) -> SimulationSpec
     shifts = None
     if args.shifts:
         shifts = np.asarray(_parse_float_list(args.shifts, "--shifts"))
-    pattern = _load_pattern(args.pattern, n)
+    pattern = _load_pattern(args.pattern)
     period = args.period if args.period is not None else 2.0 * np.pi
     spec = _checked(SimulationSpec, pattern=pattern, n_curves=args.curves, n_samples=n,
                     sigma=sigma, shifts=shifts, replicates=args.replicates, seed=args.seed,
@@ -462,8 +457,8 @@ def cmd_compare_landmark(args) -> int:
 
     if args.input:
         _, _, curves = _read_input(args)
-        result = _fit(args, curves, config, [])[3]
-        lm, ok = landmark_shifts(curves, landmark_config)
+        table, _, _, result = _fit(args, curves, config, [])
+        lm, ok = landmark_shifts(table, landmark_config)
         rows = [[str(j + 1), _fmt(result.theta_hat[j]), _fmt(lm[j]), str(int(ok[j]))]
                 for j in range(curves.n_curves)]
         _write_csv(out_dir / "comparison.csv",

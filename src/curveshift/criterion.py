@@ -18,9 +18,9 @@ Closed forms for the derivatives, used by the optimizer and for inference:
 
 for k, m in 2..J.  All three are computed from the rephased coefficients
 ct = `fourier.rephase`(table, phases), the only rephasing in the package.
-The curves are real and delta_0 = 0, so each sum over l = -L..L is twice its
-sum over the table's own columns l = 0..n//2, where an even n's Nyquist
-column l = n/2 has weight 0.  The public functions take the
+The curves are real, delta_{-l} = delta_l and delta_0 = 0, so each sum over
+l = -L..L is twice its sum over the table's own columns l = 0..n//2, where an
+even n's Nyquist column l = n/2 has weight 0.  The public functions take the
 phases; the optimizer rephases once per point it tries and reuses that ct
 for the gradient and Hessian once the point is accepted.
 """
@@ -120,7 +120,7 @@ class CriterionContext:
                 "weight vector length does not match the table frequency range"
             )
         width = self.table.coeffs.shape[-1]  # L + 2 for even n: the Nyquist column gets 0
-        object.__setattr__(self, "w2", np.pad(self.weights.half_squared, (0, width - L - 1)))
+        object.__setattr__(self, "w2", np.pad(self.weights.values**2, (0, width - L - 1)))
 
     @property
     def n_curves(self) -> int:
@@ -194,7 +194,7 @@ class IdentifiabilityCheck:
     """Outcome of the coprime-frequency plausibility check."""
 
     ok: bool
-    active_frequencies: np.ndarray
+    active_frequencies: np.ndarray  # the active l >= 1; -l is active with l
     threshold: float
     message: str
 
@@ -219,20 +219,18 @@ def check_identifiability(ctx: CriterionContext) -> IdentifiabilityCheck:
     power = np.mean(np.abs(table.coeffs) ** 2, axis=0)
     sigma2_rough = n * float(np.median(power[band]))  # band holds l = L >= 1
     threshold = 3.0 * np.sqrt(sigma2_rough / n)
-    positive = ls[(ls != 0) & (ctx.w2 > 0) & (mags > threshold)]
-    active = np.concatenate((-positive[::-1], positive))  # l and -l are active together
-    if active.size >= 2 and np.gcd.reduce(np.abs(active)) == 1:
+    active = ls[(ctx.w2 > 0) & (mags > threshold)]  # delta_0 = 0 leaves l = 0 out
+    if active.size and np.gcd.reduce(active) == 1:
         msg = "active frequencies are coprime (gcd 1)"
         return IdentifiabilityCheck(True, active, float(threshold), msg)
-    if active.size < 2:
+    if not active.size:
         msg = (
-            f"only {active.size} active weighted frequencies above the "
+            "only 0 active weighted frequencies above the "
             f"magnitude threshold {threshold:.3g}; shifts may not be identifiable"
         )
     else:
         msg = (
-            "no coprime pair among active frequencies "
-            f"{sorted(set(np.abs(active).tolist()))}; shifts are only "
-            "identified up to a sublattice"
+            f"no coprime pair among active frequencies {active.tolist()}; "
+            "shifts are only identified up to a sublattice"
         )
     return IdentifiabilityCheck(False, active, float(threshold), msg)

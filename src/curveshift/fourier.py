@@ -5,12 +5,14 @@ of a period-T interval is mapped to the table of discrete Fourier coefficients
 
     d_{jl} = (1/n) sum_m y_{jm} exp(-i 2 pi m l / n),   l = 0..n//2,
 
-one real FFT per curve, for any n >= 3; d_{j,-l} = conj(d_{jl}) completes the
-symmetric set -L..L, L = (n-1)//2, in which weight schemes are stated.  For
-even n the table's last column is the Nyquist term l = n/2, which a real
-curve cannot shift by less than a sample: the contrast, the start scan and
-the noise estimate give it weight 0, and only `inverse_dft` and the landmark
-smoother read it.  A time shift of curve j by theta multiplies d_{jl} by
+one real FFT per curve, for any n >= 3.  The curves are real, so
+d_{j,-l} = conj(d_{jl}), and the weights are even, delta_{-l} = delta_l: every
+frequency-indexed array of the package holds l >= 0 only (the weights and the
+true coefficients l = 0..L, L = (n-1)//2), and `forward_dft` is the only
+transform of sampled curves.  For even n the table's last column is the
+Nyquist term l = n/2, which a real curve cannot shift by less than a sample:
+the contrast, the start scan and the noise estimate give it weight 0, and
+only `inverse_dft` and the landmark smoother read it.  A time shift of curve j by theta multiplies d_{jl} by
 exp(-i l alpha) with alpha = 2 pi theta / T, which is what makes this
 representation convenient for shift estimation: candidate shifts are undone
 in place by `rephase`, and agreement across curves is measured on the
@@ -112,7 +114,7 @@ class SpectralTable:
 
 @dataclass(frozen=True)
 class WeightScheme:
-    """Frequency weights delta_l, l = -L..L, with delta_0 = 0.
+    """Frequency weights delta_l, l = 0..L, with delta_0 = 0; delta_{-l} = delta_l.
 
     The weights damp high frequencies in the shift-estimation contrast.  The
     primary family is the power law delta_l = |l|**-beta; exponents above
@@ -123,40 +125,32 @@ class WeightScheme:
     approximation for the estimator is unsupported.
     """
 
-    values: np.ndarray  # (2L+1,) float, >= 0, symmetric, values[L] = 0
+    values: np.ndarray  # (L+1,) float, >= 0, values[0] = 0
     kind: str = "custom"
     fluctuation_warning: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size % 2 == 0:
-            raise ValueError("weights must be a vector of odd length 2L+1")
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError("weights must be a vector delta_0..delta_L")
         if not np.all(np.isfinite(values)):
             raise ValueError("weights must be finite")
         if np.any(values < 0):
             raise ValueError("weights must be nonnegative")
-        L = values.size // 2
-        if values[L] != 0.0:
+        if values[0] != 0.0:
             raise ValueError("the zero-frequency weight must be 0")
-        if not np.allclose(values, values[::-1], rtol=0, atol=1e-12):
-            raise ValueError("weights must be symmetric in l")
 
     @property
     def max_frequency(self) -> int:
-        return self.values.size // 2
-
-    @property
-    def half_squared(self) -> np.ndarray:  # delta_l^2, l = 0..L: the half a SpectralTable holds
-        return self.values[self.max_frequency:] ** 2
+        return self.values.size - 1
 
     @classmethod
     def power(cls, beta: float, max_frequency: int) -> "WeightScheme":
         """delta_l = |l|**-beta for l != 0, delta_0 = 0."""
-        L = int(max_frequency)
-        ls = np.arange(-L, L + 1, dtype=float)
+        ls = np.arange(int(max_frequency) + 1, dtype=float)
         with np.errstate(divide="ignore"):
-            values = np.where(ls == 0, 0.0, np.abs(ls) ** -beta)
+            values = np.where(ls == 0, 0.0, ls ** -beta)
         warning = None
         if beta <= 1.25:
             warning = (
@@ -169,9 +163,8 @@ class WeightScheme:
     @classmethod
     def unit(cls, max_frequency: int) -> "WeightScheme":
         """delta_l = 1 for l != 0.  Flagged: no Gaussian limit under these."""
-        L = int(max_frequency)
-        values = np.ones(2 * L + 1)
-        values[L] = 0.0
+        values = np.ones(int(max_frequency) + 1)
+        values[0] = 0.0
         return cls(
             values=values,
             kind="unit",
@@ -188,9 +181,9 @@ class WeightScheme:
         reach the top frequency L and decay no faster than |l|**-1.25 from the
         first l1 >= 1 with delta > 0: delta_L L**1.25 >= delta_l1 l1**1.25."""
         weights = cls(values=values, kind="custom")
-        L, half = weights.max_frequency, weights.values[weights.max_frequency:]
-        ls = np.flatnonzero(half)  # the l with delta_l > 0; never 0
-        if ls.size and ls[-1] == L and half[L] * L**1.25 >= half[ls[0]] * ls[0]**1.25:
+        L, values = weights.max_frequency, weights.values
+        ls = np.flatnonzero(values)  # the l with delta_l > 0; never 0
+        if ls.size and ls[-1] == L and values[L] * L**1.25 >= values[ls[0]] * ls[0]**1.25:
             return replace(weights, fluctuation_warning=(
                 "custom weights reach the top frequency and decay no faster than "
                 "|l|^-1.25; they are not guaranteed to satisfy the fluctuation "

@@ -17,11 +17,14 @@ both are replaced by moment estimators:
     |c_l|^2 + sigma^2/(n J), so that amount is subtracted and the result
     floored at zero.
 
-The plug-in Gamma keeps the exact scalar * (I + U) structure.  Both
-estimates read the table that the optimizer rephased at alpha_hat, one
-(`confidence_intervals`) or a study's stack (`interval_half_widths`), over
-its columns l = 0..L: an even n's Nyquist column l = n/2 is left out, so
-sigma2 averages the 2L + 1 bins l = -L..L and rescales them to n.
+The plug-in Gamma keeps the exact scalar * (I + U) structure.  Its sums run
+over l = -L..L, and as delta_{-l} = delta_l, |c_{-l}| = |c_l| and delta_0 = 0,
+each is twice its half l = 0..L, the layout of the weights and of the
+|c_l|^2 that `gamma_from_power` takes.  Both estimates read the table that
+the optimizer rephased at alpha_hat, one (`confidence_intervals`) or a
+study's stack (`interval_half_widths`), over its columns l = 0..L: an even
+n's Nyquist column l = n/2 is left out, so sigma2 averages the 2L + 1 bins
+l = -L..L and rescales them to n.
 
 The normal quantile z is the standard library's
 `statistics.NormalDist().inv_cdf`.
@@ -58,9 +61,8 @@ def _gamma_scalar(magnitudes_sq: np.ndarray, weights: WeightScheme):
 
     NaN where no weighted frequency carries positive power.
     """
-    L = weights.max_frequency
-    ls = np.arange(L + 1, dtype=float)
-    w2 = weights.half_squared  # each sum over l = -L..L is twice its half, as delta_0 = 0
+    ls = np.arange(weights.max_frequency + 1, dtype=float)
+    w2 = weights.values**2
     denom = 2.0 * np.sum(w2 * ls**2 * magnitudes_sq, axis=-1)
     numer = 2.0 * np.sum(w2**2 * ls**2 * magnitudes_sq, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -79,14 +81,11 @@ def _gamma(scalar: float, n_curves: int) -> np.ndarray:
 
 
 def gamma_from_power(magnitudes_sq, weights: WeightScheme, n_curves: int) -> np.ndarray:
-    """Gamma matrix for squared coefficient magnitudes |c_l|^2, l = -L..L, even in l."""
+    """Gamma matrix for squared coefficient magnitudes |c_l|^2, l = 0..L."""
     m = np.asarray(magnitudes_sq, dtype=float)
-    L = weights.max_frequency
     if m.shape != weights.values.shape:
         raise ValueError("magnitude vector does not match the weight range")
-    if not np.allclose(m[:L], m[:L:-1], rtol=0.0, atol=1e-12 * np.max(np.abs(m))):
-        raise ValueError("magnitudes are not even in l: |c_-l|^2 differs from |c_l|^2")
-    return _gamma(float(_gamma_scalar(m[L:], weights)), n_curves)
+    return _gamma(float(_gamma_scalar(m, weights)), n_curves)
 
 
 def _plug_in(ct: np.ndarray, n: int, weights: WeightScheme, level: float):

@@ -2,9 +2,9 @@
 
 Curves are first denoised by a Nadaraya-Watson smoother with a Gaussian
 kernel and circular distance on the period, which on the equispaced grid
-reduces to a circular convolution with constant normalization: one real FFT
-pair over a (J, n) set, or a study's (R, J, n) block, whose real FFT is the
-`fourier.transform` table the study already has, and one FFT of the kernel.
+reduces to a circular convolution with constant normalization: the curves'
+`fourier.transform` table times one FFT of the kernel, and one inverse real
+FFT over a (J, n) set, or a study's (R, J, n) block.
 The discrete argmax of each smoothed curve is then refined by a parabola
 through the three surrounding points, for all curves at once, and each
 curve's shift is reported as the offset of its refined maximum from the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import wrap_time
-from .fourier import CurveSet, _require_period
+from .fourier import SpectralTable, forward_dft
 
 __all__ = ["LandmarkConfig", "default_bandwidth", "smooth", "landmark_shifts"]
 
@@ -60,13 +60,11 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
     y = np.asarray(curve, dtype=float)
     if y.ndim == 0 or y.shape[-1] < 3:
         raise ValueError("curve must have n >= 3 samples on its last axis")
-    _require_period(period)
-    n = y.shape[-1]
-    return _smoothed(np.fft.rfft(y) / n, n, period, config)
+    return _smoothed(forward_dft(y, period), y.shape[-1], period, config)
 
 
 def _smoothed(coeffs: np.ndarray, n: int, period: float, config: LandmarkConfig | None):
-    """`smooth` of n-sample curves from coeffs = rfft(y) / n, their `forward_dft`."""
+    """`smooth` of n-sample curves from their `forward_dft` coefficients."""
     h = config.bandwidth if config and config.bandwidth else default_bandwidth(n, period)
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
@@ -107,25 +105,21 @@ def _circular_span(indices: np.ndarray, n: int) -> int:
 
 
 def landmark_shifts(
-    curves: CurveSet, config: LandmarkConfig | None = None
+    table: SpectralTable, config: LandmarkConfig | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-curve shifts (time units) that bring all maxima onto curve 1's.
 
+    `table` is the curves' `fourier.transform`, from which they are smoothed.
     Returns (shifts, ok).  ok[j] is False where curve j's maximum is
     ambiguous (see `_refined_max`); shifts[j] is then NaN, and every shift is
     NaN when curve 1's is.  Otherwise entry j is the maximum location of
     curve j minus that of curve 1, wrapped to (-T/2, T/2], and entry 0 is
-    exactly zero.  A stacked CurveSet (..., J, n) gives (..., J) arrays, each
-    set's shifts relative to its own curve 1, from one smoothing of all its
-    curves.
+    exactly zero.  A stacked table (..., J, n//2+1) gives (..., J) arrays,
+    each set's shifts relative to its own curve 1, from one smoothing of all
+    its curves.
     """
-    n, T = curves.n_samples, curves.period
-    return _spectrum_shifts(np.fft.rfft(curves.samples) / n, n, T, config)
-
-
-def _spectrum_shifts(coeffs: np.ndarray, n: int, T: float, config: LandmarkConfig | None):
-    """`landmark_shifts` from coeffs = rfft(samples) / n, the `transform` table."""
-    locs, ok = _refined_max(_smoothed(coeffs, n, T, config), T)
+    T = table.period
+    locs, ok = _refined_max(_smoothed(table.coeffs, table.n_samples, T, config), T)
     shifts = np.full(locs.shape, np.nan)
     first = ok[..., :1]
     rel = ok & first

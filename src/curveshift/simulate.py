@@ -21,7 +21,8 @@ root-mean-square errors for both the contrast minimizer and the
 landmark-alignment baseline.  The matching theoretical covariance is
 computed from the pattern's exact Fourier coefficients, obtained by
 composite Simpson quadrature of (1/T) integral f(t) exp(-2 pi i l t / T) dt,
-evaluated for all l = -L..L at once as one FFT of the Simpson-weighted samples.
+evaluated for all l = 0..L at once as one FFT of the Simpson-weighted samples;
+the pattern is real, so c_{-l} = conj(c_l) and the Gamma sums read l >= 0 only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .criterion import CriterionContext, full_phases, wrap_phase, wrap_time
 from .fourier import (CurveSet, SpectralTable, WeightScheme, _require_period, forward_dft,
                       inverse_dft, rephase, transform)
 from .inference import gamma_from_power, interval_half_widths
-from .landmark import LandmarkConfig, _spectrum_shifts
+from .landmark import LandmarkConfig, landmark_shifts
 from .optimize import OptimizerConfig, _minimize_tables
 
 __all__ = [
@@ -101,7 +102,8 @@ class SimulationSpec:
         else:
             samples = np.asarray(self.pattern, dtype=float)
             if samples.shape != (self.n_samples,):
-                raise ValueError("custom pattern must supply one sample per grid point")
+                raise ValueError(f"custom pattern must supply one sample per grid point "
+                                 f"(n = {self.n_samples}), got {samples.size} samples")
             if not np.all(np.isfinite(samples)):
                 raise ValueError("custom pattern samples must be finite")
             object.__setattr__(self, "pattern", samples)
@@ -183,25 +185,25 @@ def _named_coefficients(name: str, L: int, T: float) -> np.ndarray:
     fvals = PATTERNS[name](np.linspace(0.0, T, panels + 1), T)
     g = fvals[:-1] * np.tile([2.0, 4.0], panels // 2)
     g[0] = fvals[0] + fvals[-1]
-    coeffs = np.fft.fft(g)[np.arange(-L, L + 1)] / (3 * panels)  # bin panels + l for l < 0
+    coeffs = np.fft.fft(g)[:L + 1] / (3 * panels)
     coeffs.flags.writeable = False
     return coeffs
 
 
 def true_coefficients(spec: SimulationSpec) -> np.ndarray:
-    """Exact Fourier coefficients of the pattern for l = -L..L.
+    """Exact Fourier coefficients c_l of the pattern for l = 0..L.
 
     Named patterns are integrated with composite Simpson on a grid fine
     enough for the highest requested frequency, evaluated for every l as one
     FFT of the Simpson-weighted samples (exp(-2 pi i l t/T) is 1 at both ends,
     so the endpoint sample folds onto t = 0).  That result is cached per
     (pattern, L, period), and each call returns a copy.  A custom sampled
-    pattern is its own band-limited truth, so its normalized DFT at l = -L..L
+    pattern is its own band-limited truth, so its `forward_dft` at l = 0..L
     is returned directly.
     """
     L = spec.max_frequency
     if not isinstance(spec.pattern, str):
-        return np.fft.fft(spec.pattern)[np.arange(-L, L + 1)] / spec.n_samples
+        return forward_dft(spec.pattern, spec.period)[:L + 1]
     return _named_coefficients(spec.pattern, L, spec.period).copy()
 
 
@@ -292,14 +294,13 @@ def run_study(
     for lo in range(0, R, block):
         b = slice(lo, min(R, lo + block))
         samples, theta_true[b], alpha = _draw(spec, range(R)[b])
-        curves = CurveSet(samples=samples, period=T)
-        table = transform(curves)
+        table = transform(CurveSet(samples=samples, period=T))
         run = _minimize_tables(CriterionContext(table, spec.weights), config)
         crit[b], converged[b] = run.f, run.converged
         alpha_true[b] = alpha[:, 1:]
         alpha_hat[b] = run.x
         half[b] = interval_half_widths(run.aligned, n, spec.weights, spec.confidence)
-        theta_lm[b], landmark_ok[b] = _spectrum_shifts(table.coeffs, n, T, landmark_config)
+        theta_lm[b], landmark_ok[b] = landmark_shifts(table, landmark_config)
     theta_hat = full_phases(alpha_hat, J) * (T / (2.0 * np.pi))
     errors = wrap_phase(alpha_hat - alpha_true)
     inferred = ~np.isnan(half)

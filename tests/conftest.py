@@ -33,6 +33,11 @@ def full_coeffs(table):
     return np.concatenate((np.conj(c[..., :0:-1]), c), axis=-1)
 
 
+def full_weights(weights):
+    """A `WeightScheme`'s delta_l over l = -L..L, from its values l = 0..L: delta_{-l} = delta_l."""
+    return np.concatenate((weights.values[:0:-1], weights.values))
+
+
 def brute_force_criterion(coeffs, weight_values, alpha_full):
     """Literal double sum of the weighted rephased-coefficient dispersion."""
     coeffs = np.asarray(coeffs)
@@ -55,9 +60,7 @@ def random_weights(rng, max_frequency):
         return WeightScheme.unit(max_frequency)
     if roll == 1:
         return WeightScheme.power(float(rng.uniform(0.8, 2.0)), max_frequency)
-    half = rng.uniform(0.0, 2.0, max_frequency)
-    values = np.concatenate([half[::-1], [0.0], half])
-    return WeightScheme.custom(values)
+    return WeightScheme.custom(np.concatenate([[0.0], rng.uniform(0.0, 2.0, max_frequency)]))
 
 
 def random_instance(rng, max_curves=6, max_samples=51):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import (brute_force_criterion, finite_difference_gradient,
-                      finite_difference_jacobian, full_coeffs, random_instance)
+                      finite_difference_jacobian, full_coeffs, full_weights, random_instance)
 from curveshift import (
     CriterionContext,
     CurveSet,
@@ -54,7 +54,7 @@ def test_criterion_1_oracle_equivalence():
         ctx, alpha = random_instance(rng, max_curves=6, max_samples=51)
         got = evaluate(ctx, alpha)
         oracle = brute_force_criterion(
-            full_coeffs(ctx.table), ctx.weights.values, np.concatenate([[0.0], alpha])
+            full_coeffs(ctx.table), full_weights(ctx.weights), np.concatenate([[0.0], alpha])
         )
         worst = max(worst, abs(got - oracle) / max(abs(oracle), 1e-300))
     elapsed = time.perf_counter() - start

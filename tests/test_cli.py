@@ -219,7 +219,9 @@ class TestEstimate:
         assert "input" in capsys.readouterr().err
         for text, message in (("a,b\n", "need a header row and at least one data row"),
                               ("t,a,b\n0.0,1.0,2.0\n", "time column too short"),
-                              ("a\n1.0\n2.0\n3.0\n", "need at least two curve columns")):
+                              ("a\n1.0\n2.0\n3.0\n", "input: need at least two curves (J >= 2)"),
+                              ("a,b\n1.0,2.0\n3.0,4.0\n",
+                               "input: need at least three samples per curve (n >= 3)")):
             src.write_text(text)
             assert main([command, "--input", str(src)] + out) == 2
             assert message in capsys.readouterr().err
@@ -515,6 +517,19 @@ class TestSimulate:
         assert capsys.readouterr().err == ("error: input: need n >= 3 samples and J >= 2 "
                                            "curves\n")
         assert not [p for p in out.rglob("*") if p.is_file()]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare-landmark"])
+    def test_pattern_file_length_checked_after_n(self, tmp_path, capsys, command):
+        # The spec checks n first, then that the pattern has one sample per grid point.
+        pfile = tmp_path / "p.csv"
+        write_curves(pfile, [np.cos(np.arange(5) * T / 5)], names=["f"])
+        for n, message in (("-3", "error: input: need n >= 3 samples and J >= 2 curves\n"),
+                           ("7", "error: input: custom pattern must supply one sample per "
+                                 "grid point (n = 7), got 5 samples\n")):
+            rc = main([command, "--output-dir", str(tmp_path / "s"), "--samples", n,
+                       "--replicates", "1", "--pattern", f"file:{pfile}"])
+            assert rc == 2
+            assert capsys.readouterr().err == message
 
     def test_malformed_study_options_rejected(self, tmp_path, capsys):
         rc = main(["simulate", "--output-dir", str(tmp_path / "s"), "--period", "-1"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_dft, full_coeffs
 from curveshift import (
+    CriterionContext,
     CurveSet,
     SpectralTable,
     WeightScheme,
@@ -261,20 +262,25 @@ class TestWeightScheme:
         with pytest.raises(ValueError, match="zero-frequency"):
             WeightScheme.custom(np.ones(5))
 
-    def test_symmetry_required(self):
-        values = np.array([1.0, 2.0, 0.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="symmetric"):
+    def test_negative_rejected(self):
+        values = np.array([0.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
             WeightScheme.custom(values)
 
-    def test_negative_rejected(self):
-        values = np.array([-1.0, 1.0, 0.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            WeightScheme.custom(values)
+    def test_old_layout_fails_loudly(self):
+        # A vector over l = -L..L is not read as delta_0..delta_2L: its first
+        # entry is delta_-L, and where that is 0 its length no longer fits.
+        with pytest.raises(ValueError, match="zero-frequency"):
+            WeightScheme.custom(np.array([0.5, 1.0, 0.0, 1.0, 0.5]))
+        table = transform(CurveSet(samples=np.ones((2, 5)), period=T))
+        with pytest.raises(ValueError, match="frequency range"):
+            CriterionContext(table, WeightScheme.custom(np.array([0.0, 1.0, 0.0, 1.0, 0.0])))
 
     def test_power_family_values(self):
         w = WeightScheme.power(1.3, 3)
-        expected = np.array([3.0**-1.3, 2.0**-1.3, 1.0, 0.0, 1.0, 2.0**-1.3, 3.0**-1.3])
+        expected = np.array([0.0, 1.0, 2.0**-1.3, 3.0**-1.3])
         assert np.allclose(w.values, expected, rtol=1e-15)
+        assert w.max_frequency == 3
         assert w.fluctuation_warning is None
 
     def test_unit_weights_flagged(self):
@@ -294,14 +300,13 @@ class TestWeightScheme:
     def test_custom_flagged_by_its_values(self):
         # Flagged where the weights reach l = L and decay no faster than
         # |l|^-1.25 from their first nonzero frequency l1.
-        def flag(half):
-            half = np.asarray(half, dtype=float)
-            values = np.concatenate([half[::-1], [0.0], half])
+        def flag(positive):  # delta_l for l = 1..L
+            values = np.concatenate([[0.0], positive])
             return WeightScheme.custom(values).fluctuation_warning is not None
 
         L = 50
         ls = np.arange(1, L + 1, dtype=float)
-        assert flag(WeightScheme.unit(L).values[L + 1:])
+        assert flag(WeightScheme.unit(L).values[1:])
         assert flag(ls**-1.0) and not flag(ls**-1.3)
         assert flag(np.where(ls >= 3, 1.0, 0.0))  # l1 = 3
         assert not flag(np.where(ls < L, 1.0, 0.0))  # delta_L = 0: as before
@@ -331,14 +336,22 @@ class TestCurveSet:
         assert np.allclose(curves.times, [0.0, 2.0, 4.0, 6.0, 8.0])
 
 
+PERIOD_RULE = "period must be finite and positive"
+
+
 @pytest.mark.parametrize("period", [np.inf, -np.inf, np.nan, 0.0, -1.0])
-@pytest.mark.parametrize("make", [
-    lambda period: CurveSet(samples=np.ones((2, 5)), period=period),
-    lambda period: SpectralTable(coeffs=np.ones((2, 5)), period=period, n_samples=9),
-    lambda period: forward_dft(np.ones(5), period),
-    lambda period: smooth(np.ones(5), period),
-], ids=["CurveSet", "SpectralTable", "forward_dft", "smooth"])
-def test_period_must_be_finite_and_positive(make, period):
+@pytest.mark.parametrize("make, message", [
+    (lambda period: CurveSet(samples=np.ones((2, 5)), period=period), PERIOD_RULE),
+    (lambda period: SpectralTable(coeffs=np.ones((2, 5)), period=period, n_samples=9),
+     PERIOD_RULE),
+    (lambda period: forward_dft(np.ones(5), period), PERIOD_RULE),
+    (lambda period: smooth(np.ones(5), period), PERIOD_RULE),
+    # `smooth` reads its curve through `forward_dft`, which checks the samples
+    # before the period.
+    (lambda period: smooth(np.array([1.0, np.nan, 1.0, 1.0]), period),
+     "curve samples must be finite"),
+], ids=["CurveSet", "SpectralTable", "forward_dft", "smooth", "smooth-nonfinite-curve"])
+def test_period_must_be_finite_and_positive(make, message, period):
     # T = inf would give NaN and infinite shift estimates.
-    with pytest.raises(ValueError, match="period must be finite and positive"):
+    with pytest.raises(ValueError, match=message):
         make(period)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from conftest import full_coeffs
+from conftest import full_coeffs, full_weights
 
 from curveshift import (
     CriterionContext,
@@ -129,29 +129,18 @@ class TestGamma:
         L = 20
         ls = np.arange(-L, L + 1)
         for _ in range(20):
-            m = rng.uniform(0.0, 1.0, L + 1)
-            m = np.concatenate([m[:0:-1], m])  # |c_l|^2 of a real pattern is even in l
-            half = rng.uniform(0.1, 2.0, L)
-            w = WeightScheme.custom(np.concatenate([half[::-1], [0.0], half]))
+            m = rng.uniform(0.0, 1.0, L + 1)  # |c_l|^2, l = 0..L
+            w = WeightScheme.custom(np.concatenate([[0.0], rng.uniform(0.1, 2.0, L)]))
             scalar = gamma_from_power(m, w, 3)[0, 1]
-            bound = 1.0 / np.sum(ls**2 * m)
+            bound = 1.0 / np.sum(ls**2 * np.concatenate([m[:0:-1], m]))  # even in l
             assert scalar >= bound * (1 - 1e-12)
         unit = WeightScheme.unit(L)
         m = rng.uniform(0.1, 1.0, L + 1)
-        m = np.concatenate([m[:0:-1], m])
         scalar = gamma_from_power(m, unit, 3)[0, 1]
-        assert scalar == pytest.approx(1.0 / np.sum(ls**2 * m), rel=1e-12)
-
-    def test_power_must_be_even_in_l(self):
-        # Real curves have |c_-l|^2 = |c_l|^2.  A vector that is not even in
-        # l is rejected rather than read from its l >= 0 half alone; an
-        # asymmetry at rounding level is accepted.
-        w = WeightScheme.power(1.3, 3)
-        m = np.array([0.5, 2.0, 4.0, 1.0, 4.0, 2.0, 0.5])
-        nudged = m * (1.0 + 1e-13 * np.arange(7))
-        assert np.allclose(gamma_from_power(nudged, w, 3), gamma_from_power(m, w, 3), rtol=1e-11)
-        with pytest.raises(ValueError, match="not even in l"):
-            gamma_from_power(np.concatenate([[100.0, 7.0, 3.0], m[3:]]), w, 3)
+        assert scalar == pytest.approx(1.0 / np.sum(ls**2 * np.concatenate([m[:0:-1], m])),
+                                       rel=1e-12)
+        with pytest.raises(ValueError, match="weight range"):
+            gamma_from_power(np.concatenate([m[:0:-1], m]), unit, 3)
 
 
 class TestConfidenceIntervals:
@@ -235,7 +224,7 @@ class TestConfidenceIntervals:
         D = np.sum(np.abs(ct - mean) ** 2, axis=0)
         sigma2 = (D[0] + 2.0 * D[1:].sum()) / (J - 1)  # l = 0, then l and -l for l >= 1
         power = np.maximum(np.abs(mean) ** 2 - sigma2 / (n * J), 0.0)
-        gamma = gamma_from_power(np.concatenate([power[:0:-1], power]), spec.weights, J)
+        gamma = gamma_from_power(power, spec.weights, J)
         calls = []
         original = fourier.rephase
 
@@ -259,7 +248,7 @@ class TestConfidenceIntervals:
         spec = SimulationSpec(pattern="sinc15", n_curves=6, n_samples=101, sigma=1.0,
                               replicates=3, seed=8)
         J, n, L = 6, 101, 50
-        ls, w2 = np.arange(-L, L + 1), spec.weights.values**2
+        ls, w2 = np.arange(-L, L + 1), full_weights(spec.weights) ** 2
         for r in range(spec.replicates):
             table = transform(generate(spec, r).curves)
             res = minimize(CriterionContext(table, spec.weights))

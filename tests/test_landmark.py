@@ -6,6 +6,7 @@ from curveshift import (
     LandmarkConfig,
     landmark_shifts,
     smooth,
+    transform,
 )
 from curveshift.landmark import default_bandwidth
 
@@ -70,7 +71,8 @@ def shift_from_cosine(curve, config):
     curve's own maximum location, wrapped to (-T/2, T/2].
     """
     t = np.arange(curve.size) * T / curve.size
-    shifts, ok = landmark_shifts(CurveSet(samples=np.vstack([np.cos(t), curve]), period=T), config)
+    curves = CurveSet(samples=np.vstack([np.cos(t), curve]), period=T)
+    shifts, ok = landmark_shifts(transform(curves), config)
     assert ok[0]
     return shifts[1], ok[1]
 
@@ -110,7 +112,7 @@ class TestMaxLocation:
 
 def located_shifts(curves, config=None):
     """The shifts of `landmark_shifts`, after checking that every landmark is defined."""
-    shifts, ok = landmark_shifts(curves, config)
+    shifts, ok = landmark_shifts(transform(curves), config)
     assert ok.all()
     return shifts
 
@@ -173,17 +175,17 @@ class TestLandmarkShifts:
         t = np.arange(n) * T / n
         cfg = LandmarkConfig(bandwidth=0.4)
         rows = np.vstack([np.cos(t), np.zeros(n)])
-        shifts, ok = landmark_shifts(CurveSet(samples=rows, period=T), cfg)
+        shifts, ok = landmark_shifts(transform(CurveSet(samples=rows, period=T)), cfg)
         assert ok.tolist() == [True, False]
         assert shifts[0] == 0.0 and np.isnan(shifts[1])
         # Only the flat curve is flagged; the rest are located.
         rows = np.vstack([np.cos(t), np.zeros(n), np.cos(t - 0.5)])
-        shifts, ok = landmark_shifts(CurveSet(samples=rows, period=T), cfg)
+        shifts, ok = landmark_shifts(transform(CurveSet(samples=rows, period=T)), cfg)
         assert ok.tolist() == [True, False, True]
         assert shifts[0] == 0.0 and np.isnan(shifts[1])
         assert shifts[2] == pytest.approx(0.5, abs=0.05)
         # Shifts are relative to curve 1: if it is flat, none is defined.
-        shifts, ok = landmark_shifts(CurveSet(samples=rows[[1, 0, 2]], period=T), cfg)
+        shifts, ok = landmark_shifts(transform(CurveSet(samples=rows[[1, 0, 2]], period=T)), cfg)
         assert ok.tolist() == [False, True, True]
         assert np.isnan(shifts).all()
 

@@ -72,9 +72,10 @@ def landmark_loop(curves, config=None):
     return row_loop(curves.samples, period, lambda row: smooth(row, period, config))
 
 
-def spectrum_landmark_loop(coeffs, n, period, config=None):
-    """`landmark._spectrum_shifts`, a study's landmark baseline, one curve of the table at a time."""
-    return row_loop(coeffs, period, lambda row: landmark._smoothed(row, n, period, config))
+def spectrum_landmark_loop(table, config=None):
+    """`landmark_shifts`, a study's landmark baseline, one curve of the table at a time."""
+    n, period = table.n_samples, table.period
+    return row_loop(table.coeffs, period, lambda row: landmark._smoothed(row, n, period, config))
 
 
 def row_loop(rows, period, smooth_row):
@@ -98,7 +99,7 @@ def weight_sets(n):
     """w2 on l = 0..n//2 under unit and power:1.3 weights, and the lag start's all-ones
     weights, each 0 on an even n's Nyquist column."""
     L = (n - 1) // 2
-    halves = [WeightScheme.unit(L).values[L:] ** 2, WeightScheme.power(1.3, L).values[L:] ** 2,
+    halves = [WeightScheme.unit(L).values ** 2, WeightScheme.power(1.3, L).values ** 2,
               np.ones(L + 1)]
     return [np.pad(w2, (0, n // 2 - L)) for w2 in halves]
 
@@ -222,7 +223,7 @@ class TestLandmarkBatch:
         for r in range(spec.replicates):
             curves = generate(spec, r).curves
             for config in (None, LandmarkConfig(bandwidth=0.3)):
-                shifts, ok = landmark_shifts(curves, config)
+                shifts, ok = landmark_shifts(transform(curves), config)
                 ref_shifts, ref_ok = landmark_loop(curves, config)
                 assert np.array_equal(shifts, ref_shifts, equal_nan=True)
                 assert np.array_equal(ok, ref_ok)
@@ -233,7 +234,7 @@ class TestLandmarkBatch:
         samples = generate(spec, 0).curves.samples.copy()
         samples[flat] = 1.5
         curves = CurveSet(samples=samples, period=T)
-        shifts, ok = landmark_shifts(curves)
+        shifts, ok = landmark_shifts(transform(curves))
         ref_shifts, ref_ok = landmark_loop(curves)
         assert np.array_equal(shifts, ref_shifts, equal_nan=True)
         assert np.array_equal(ok, ref_ok)
@@ -265,7 +266,7 @@ def test_study_outputs_equal_reference_paths(tmp_path, monkeypatch):
 
     shipped = run_all(tmp_path / "shipped")
     monkeypatch.setattr(optimize, "_correlation_argmax", full_grid_argmax)
-    monkeypatch.setattr(simulate, "_spectrum_shifts", spectrum_landmark_loop)
+    monkeypatch.setattr(simulate, "landmark_shifts", spectrum_landmark_loop)
     reference = run_all(tmp_path / "reference")
     assert len(shipped) == 4
     assert shipped == reference

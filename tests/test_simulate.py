@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from conftest import full_coeffs
+from conftest import full_coeffs, full_weights
 
 from curveshift import (
     PATTERNS,
@@ -186,10 +186,24 @@ class TestGenerate:
             assert np.allclose(rep.curves.samples[1], np.roll(base, 4), atol=1e-12)
 
 
+def simpson_coefficients(pattern, L, period):
+    """c_l, l = -L..L, of a named pattern by scipy's composite Simpson over the
+    panels that `true_coefficients` uses, 64 frequency rows at a time."""
+    t = np.linspace(0.0, period, max(16384, 64 * L) + 1)
+    fvals = PATTERNS[pattern](t, period)
+    ls = np.arange(-L, L + 1)
+    coeffs = np.empty(2 * L + 1, dtype=complex)
+    for start in range(0, ls.size, 64):
+        chunk = ls[start:start + 64]
+        integrand = fvals[None, :] * np.exp(-2j * np.pi * np.outer(chunk, t) / period)
+        coeffs[start:start + 64] = simpson(integrand, x=t, axis=1) / period
+    return coeffs
+
+
 class TestTrueCoefficients:
     def test_cosine_exact(self):
         spec = SimulationSpec(pattern="cosine", n_curves=2, n_samples=101)
-        c = true_coefficients(spec)
+        c = full_coeffs(true_coefficients(spec))  # l = -L..L from l = 0..L
         L = 50
         assert abs(c[L + 1] - 0.5) < 1e-12
         assert abs(c[L - 1] - 0.5) < 1e-12
@@ -203,7 +217,8 @@ class TestTrueCoefficients:
         tt = np.arange(N) * T / N
         fine = np.fft.fftshift(np.fft.fft(PATTERNS["sinc15"](tt))) / N
         for n in (101, 2001):
-            c = true_coefficients(SimulationSpec(pattern="sinc15", n_curves=2, n_samples=n))
+            c = full_coeffs(true_coefficients(SimulationSpec(pattern="sinc15", n_curves=2,
+                                                             n_samples=n)))
             L = (n - 1) // 2
             assert np.max(np.abs(c - fine[N // 2 - L:N // 2 + L + 1])) < 1e-8, n
 
@@ -211,19 +226,11 @@ class TestTrueCoefficients:
     @pytest.mark.parametrize("n", [101, 401])
     @pytest.mark.parametrize("pattern", ["sinc15", "cosine"])
     def test_matches_chunked_simpson(self, pattern, n, period):
-        # Oracle: scipy's composite Simpson over the same panels, 64
-        # frequency rows at a time.
+        # Oracle: scipy's composite Simpson over the same panels, over
+        # l = -L..L; the l < 0 half is the conjugate of the l >= 0 half.
         spec = SimulationSpec(pattern=pattern, n_curves=2, n_samples=n, period=period)
-        L = spec.max_frequency
-        t = np.linspace(0.0, period, max(16384, 64 * L) + 1)
-        fvals = PATTERNS[pattern](t, period)
-        ls = np.arange(-L, L + 1)
-        expected = np.empty(2 * L + 1, dtype=complex)
-        for start in range(0, ls.size, 64):
-            chunk = ls[start:start + 64]
-            integrand = fvals[None, :] * np.exp(-2j * np.pi * np.outer(chunk, t) / period)
-            expected[start:start + 64] = simpson(integrand, x=t, axis=1) / period
-        assert np.max(np.abs(true_coefficients(spec) - expected)) < 1e-13
+        expected = simpson_coefficients(pattern, spec.max_frequency, period)
+        assert np.max(np.abs(full_coeffs(true_coefficients(spec)) - expected)) < 1e-13
 
     def test_cached_result_is_not_shared(self):
         spec = SimulationSpec(pattern="sinc15", n_curves=2, n_samples=101, period=3.7)
@@ -237,10 +244,9 @@ class TestTrueCoefficients:
         for n in (21, 20):
             base = np.cos(np.arange(n) * T / n)
             spec = SimulationSpec(pattern=base, n_curves=2, n_samples=n)
-            # Over l = -L..L, the l >= 0 half being the table's own transform
-            # (without an even n's Nyquist column).
+            # The table's own transform, without an even n's Nyquist column.
             own = forward_dft(base, T)[:spec.max_frequency + 1]
-            assert np.allclose(true_coefficients(spec), full_coeffs(own), atol=1e-15)
+            assert np.array_equal(true_coefficients(spec), own)
 
 
 class TestTheoreticalGamma:
@@ -253,14 +259,22 @@ class TestTheoreticalGamma:
 
     @pytest.mark.parametrize("pattern", ["sinc15", "cosine", "custom"])
     def test_true_power_is_even(self, pattern):
-        # gamma_from_power rejects |c_l|^2 that is not even in l; the exact
-        # coefficients of real patterns pass its test.
+        # A real pattern's |c_l|^2 over l = -L..L, from an oracle, is even in
+        # l, so Gamma's sums over l = -L..L equal twice the l >= 0 halves that
+        # theoretical_gamma reads.
+        L = 50
         if pattern == "custom":
-            pattern = np.random.default_rng(4).standard_normal(101)
-        spec = SimulationSpec(pattern=pattern, n_curves=3, n_samples=101)
-        m = np.abs(true_coefficients(spec)) ** 2
+            pattern = np.random.default_rng(4).standard_normal(2 * L + 1)
+            m = np.abs(np.fft.fft(pattern)[np.arange(-L, L + 1)] / pattern.size) ** 2
+        else:
+            m = np.abs(simpson_coefficients(pattern, L, T)) ** 2
         assert np.max(np.abs(m - m[::-1])) <= 1e-15 * np.max(m)
-        assert np.all(np.isfinite(theoretical_gamma(spec)))
+        spec = SimulationSpec(pattern=pattern, n_curves=3, n_samples=2 * L + 1)
+        ls, w2 = np.arange(-L, L + 1), full_weights(spec.weights) ** 2
+        scalar = np.sum(w2**2 * ls**2 * m) / np.sum(w2 * ls**2 * m) ** 2
+        gamma = theoretical_gamma(spec)
+        assert np.all(np.isfinite(gamma))
+        assert gamma[0, 1] == pytest.approx(scalar, rel=1e-12)
 
 
 class TestRunStudy:
@@ -275,10 +289,10 @@ class TestRunStudy:
         assert run_study(spec).nonconverged == 0
 
     def test_single_frequency_variance(self):
-        # delta_{+-1} = 1 only: Gamma = 2 (I + U), so for J = 2 the variance
+        # delta_1 (and delta_-1) = 1 only: Gamma = 2 (I + U), so for J = 2 the variance
         # of sqrt(n) alpha_2 errors is 4 sigma^2.
-        values = np.zeros(101)
-        values[50 - 1] = values[50 + 1] = 1.0
+        values = np.zeros(51)
+        values[1] = 1.0
         spec = SimulationSpec(pattern="cosine", n_curves=2, n_samples=101, sigma=0.1,
                               weights=WeightScheme.custom(values), replicates=500,
                               seed=77)
@@ -405,7 +419,7 @@ class TestStackedStudy:
             assert np.allclose(summary.alpha_hat[r], res.alpha_hat.free, rtol=0, atol=1e-12)
             assert np.allclose(summary.theta_hat[r], res.theta_hat, rtol=0, atol=1e-12)
             assert abs(summary.criterion_values[r] - res.criterion_value) <= 1e-12
-            shifts, ok = landmark_shifts(rep.curves)
+            shifts, ok = landmark_shifts(table)
             assert np.array_equal(summary.theta_hat_landmark[r], shifts, equal_nan=True)
             assert np.array_equal(summary.landmark_ok[r], ok)
             ci = confidence_intervals(res, table, weights, spec.confidence).intervals_alpha
@@ -422,7 +436,7 @@ class TestStackedStudy:
         for config in (None, LandmarkConfig(bandwidth=0.3)):
             summary = run_study(spec, landmark_config=config)
             for r in range(spec.replicates):
-                shifts, ok = landmark_shifts(generate(spec, r).curves, config)
+                shifts, ok = landmark_shifts(transform(generate(spec, r).curves), config)
                 assert np.array_equal(summary.theta_hat_landmark[r], shifts, equal_nan=True)
                 assert np.array_equal(summary.landmark_ok[r], ok)
 

@@ -26,8 +26,10 @@ exit codes and stderr hashes cover the error paths.  The last commands read
 an even n as it is: `estimate` and `compare-landmark` on a 30-curve file of
 400 samples under each weight scheme, `simulate --samples 100`, and a
 pattern-file study at n = 100.  Versions of curveshift that refused even n
-exit 2 on these.  The work counts are deterministic, so two commits can be
-compared on work without timing noise.
+exit 2 on these.  Three error paths close the list: a weight file that lists
+l = 1 and 2 but not -1 and -2, `estimate` on a curve file of two rows, and
+`simulate --samples -3` with a pattern file.  The work counts are
+deterministic, so two commits can be compared on work without timing noise.
 
 `--numbers` writes one tab-separated line per value instead, grouped by
 command directory and file and sorted by group: per command its exit code
@@ -152,6 +154,11 @@ def commands() -> list[list[str]]:
     pattern_input("pattern-100.csv", 100)
     runs.append(["simulate", "--pattern", "file:pattern-100.csv", "--curves", "6",
                  "--samples", "100", "--sigma", "0.5", "--replicates", "20", "--seed", "11"])
+    Path("one-sided.csv").write_text("l,delta\n1,1.0\n2,1.0\n", encoding="utf-8")
+    runs.append(["estimate", "--input", "wide-0.csv", "--weights", "file:one-sided.csv"])
+    Path("two-rows.csv").write_text("t,y1,y2\n0,1,2\n1,3,4\n", encoding="utf-8")
+    runs.append(["estimate", "--input", "two-rows.csv"])
+    runs.append(["simulate", "--samples", "-3", "--pattern", "file:pattern.csv"])
     return runs
 
 
