@@ -12,11 +12,11 @@ true coefficients l = 0..L, L = (n-1)//2), and `forward_dft` is the only
 transform of sampled curves.  For even n the table's last column is the
 Nyquist term l = n/2, which a real curve cannot shift by less than a sample:
 the contrast, the start scan and the noise estimate give it weight 0, and
-only `inverse_dft` and the landmark smoother read it.  A time shift of curve j by theta multiplies d_{jl} by
-exp(-i l alpha) with alpha = 2 pi theta / T, which is what makes this
-representation convenient for shift estimation: candidate shifts are undone
-in place by `rephase`, and agreement across curves is measured on the
-rephased coefficients.
+only `inverse_dft` and the landmark smoother read it.  A time shift of curve
+j by theta multiplies d_{jl} by exp(-i l alpha), alpha = 2 pi theta / T, so
+candidate shifts are undone by `rephase`, whose phasors exp(i l alpha) are
+products from two short tables (`_powers`), and agreement across curves is
+measured on the rephased coefficients.
 
 The zero-based DFT above differs from a one-based convention by a fixed
 per-frequency global phase; every downstream quantity depends only on phase
@@ -238,19 +238,22 @@ def rephase(table: SpectralTable, alpha) -> SpectralTable:
     `alpha` has one entry per curve, in radians, on its last axis.  Its
     leading axes broadcast against the table's: P phase vectors (P, J) rephase
     one (J, n//2+1) table P ways, or a stack of P tables one way each.
-    Rephasing preserves the modulus of every coefficient.  l = 0 takes 1, and
-    l >= 1 takes cos and sin of l a, which equal np.exp(1j * l * a) bit for
-    bit, except that a zero imaginary part carries the sign of the zero angle.
+    Rephasing preserves the modulus of every coefficient.  The phasors are
+    `_powers` of exp(i a), within (|a| l + 1) eps of exp(i l a) as a direct
+    cos and sin of l a are, and exactly 1 at l = 0.
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim < 1 or a.shape[-1] != table.n_curves:
         raise ValueError("alpha must have one entry per curve")
     if not np.all(np.isfinite(a)):
         raise ValueError("alpha must be finite")
-    angles = a[..., None] * table.frequencies[1:]
-    phases = np.empty(a.shape + (angles.shape[-1] + 1,), dtype=complex)
-    phases[..., 0] = 1.0
-    phases[..., 1:].real, phases[..., 1:].imag = np.cos(angles), np.sin(angles)
-    # Named, not a temporary: numpy would multiply a temporary in place with the
-    # operands swapped, and complex products round differently then.
+    phases = _powers(table.coeffs.shape[-1], lambda e: np.exp(1j * (a[..., None] * e)))
     return SpectralTable(table.coeffs * phases, table.period, table.n_samples)
+
+
+def _powers(width: int, power) -> np.ndarray:
+    """z^l, l = 0..width-1, on a new last axis, from `power(e)`, z^e for an integer array e:
+    z^(K u + v) = z^(K u) z^v, K = ceil(sqrt(width)), costs about 2 sqrt(width) powers."""
+    K = int(np.ceil(np.sqrt(width)))
+    grid = power(K * np.arange(-(-width // K)))[..., None] * power(np.arange(K))[..., None, :]
+    return grid.reshape(grid.shape[:-2] + (-1,))[..., :width]

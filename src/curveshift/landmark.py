@@ -16,6 +16,7 @@ which is what makes it a baseline rather than a competitor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,19 @@ def smooth(curve, period: float, config: LandmarkConfig | None = None) -> np.nda
 def _smoothed(coeffs: np.ndarray, n: int, period: float, config: LandmarkConfig | None):
     """`smooth` of n-sample curves from their `forward_dft` coefficients."""
     h = config.bandwidth if config and config.bandwidth else default_bandwidth(n, period)
+    spectrum, total = _kernel(n, period, h)
+    return np.fft.irfft(coeffs * spectrum, n) / total
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(n: int, period: float, h: float) -> tuple[np.ndarray, float]:
+    """n rfft(kernel) and sum(kernel) of the Gaussian kernel; read-only, as the cache shares them."""
     steps = np.arange(n)
     dist = np.minimum(steps, n - steps) * (period / n)
     kernel = np.exp(-0.5 * (dist / h) ** 2)
-    return np.fft.irfft(coeffs * (n * np.fft.rfft(kernel)), n) / kernel.sum()
+    spectrum = n * np.fft.rfft(kernel)
+    spectrum.flags.writeable = False
+    return spectrum, kernel.sum()
 
 
 def _refined_max(sm: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:

@@ -34,13 +34,14 @@ share each rephase, value, gradient, Hessian, Cholesky and solve call.  A
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .criterion import (ConstrainedShift, CriterionContext, _gradient, _hessian, _value,
                         full_phases, wrap_phase)
-from .fourier import SpectralTable, rephase
+from .fourier import SpectralTable, _powers, rephase
 
 __all__ = ["OptimizerConfig", "EstimationResult", "minimize"]
 
@@ -106,6 +107,15 @@ SCAN_OVERSAMPLING = 8  # scan phases per sample; a whole number keeps grid shift
 REFINE_BLOCK = 1 << 16  # phasor entries per refinement block; bounds its memory
 
 
+@functools.lru_cache(maxsize=16)
+def _scan_tables(n: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n roots of unity and the (n//2+1, q-1) phasors of a cell's interior; read-only."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    inner = np.exp(2j * np.pi * np.outer(np.arange(n // 2 + 1), np.arange(1, q)) / (q * n))
+    roots.flags.writeable = inner.flags.writeable = False
+    return roots, inner
+
+
 def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndarray:
     """Free phases 2 pi k/m maximizing each curve's w2-weighted correlation with curve 1.
 
@@ -123,10 +133,11 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
     (h^2/8) max|f''| <= (h^2/8)(1/n) sum_l s_l l^2 |p_l|.  Only the cells
     within that bound (plus a rounding allowance) of the coarse maximum are
     refined: their q-1 interior points are summed directly, as one matrix
-    product with phasors taken from the n roots of unity.  Values within the
-    rounding allowance of the maximum count as ties and the smallest k wins,
-    so an exact tie does not depend on how the FFT rounded.  With q = 1 this
-    is the coarse scan alone.
+    product whose phasors exp(2 pi i l c/n), `_powers` of the n roots of unity,
+    are within about 2 ulp of exact: a few eps per unit of |p| against the
+    2 n eps rounding allowance.  Values within it of the maximum count as ties
+    and the smallest k wins, so an exact tie does not depend on how the FFT
+    rounded.  With q = 1 this is the coarse scan alone.
     """
     n, ls = table.n_samples, table.frequencies
     q = m // n
@@ -147,13 +158,13 @@ def _correlation_argmax(table: SpectralTable, w2: np.ndarray, m: int) -> np.ndar
         ends = np.maximum(coarse, np.roll(coarse, -1, axis=1))
         # Cell c lies between coarse points c and c + 1 (mod n).
         rows, cells = np.nonzero(ends + (slack + 3.0 * tol)[:, None] > best[:, None])
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        inner = np.exp(2j * np.pi * np.outer(ls, np.arange(1, q)) / m)
+        roots, inner = _scan_tables(n, q)
         fine = np.empty((rows.size, q - 1))
         block = max(1, REFINE_BLOCK // ls.size)
         for lo in range(0, rows.size, block):
             r, c = rows[lo:lo + block], cells[lo:lo + block]
-            fine[lo:lo + block] = ((terms[r] * roots[np.outer(c, ls) % n]) @ inner).real
+            phasors = _powers(ls.size, lambda e: roots[np.outer(c, e) % n])
+            fine[lo:lo + block] = ((terms[r] * phasors) @ inner).real
         np.maximum.at(best, rows, fine.max(axis=1))
     floor = best - tol
     hit = coarse >= floor[:, None]
@@ -234,7 +245,7 @@ def _descend(ctx: CriterionContext, x0: np.ndarray, config: OptimizerConfig) -> 
         return rephase(SpectralTable(coeffs[rows], period, n), full_phases(xs, J)).coeffs
 
     # One rephase per point tried; an accepted point's gradient and Hessian reuse it.
-    ct = rephased(np.arange(P), x)
+    ct = rephase(ctx.table, full_phases(x, J)).coeffs
     f = _value(ctx, ct)
     g, gmax = np.empty_like(x), np.empty(P)
     iters, newton, steepest, rejected = np.zeros((4, P), dtype=int)

@@ -150,29 +150,40 @@ class TestRephase:
         spread = np.max(np.abs(out.coeffs - out.coeffs[0]))
         assert spread < 1e-12
 
-    @pytest.mark.parametrize("shape", [(6,), (3, 6), (2, 3, 6)])
-    def test_equals_literal_exponentials(self, shape):
-        # l = 0 takes 1 and l >= 1 takes cos and sin of l a.  The phasors
-        # are those of exp(i l a) bit for bit, for negative, zero, +-pi and
-        # large phases, one table or a stack, up to the sign of a zero
-        # imaginary part: off l = 0 it is the sign of the zero angle l a, as
-        # sin gives it, which 1j * -0.0 does not keep.
-        rng = np.random.default_rng(len(shape))
-        table = SpectralTable(rng.normal(size=shape + (41,)) + 1j * rng.normal(size=shape + (41,)),
-                              T, 81)
-        a = rng.uniform(-4.0, 4.0, shape)
-        a.reshape(-1)[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6]
-        angles = a[..., None] * table.frequencies
-        phases = np.exp(1j * angles)
-        zero = (angles == 0.0) & (table.frequencies != 0)
-        phases.imag[zero] = angles[zero]
-        # Times 1 - 0i, every product term is exact and keeps the phasor's bits.
-        ones = SpectralTable(np.full(table.coeffs.shape, complex(1.0, -0.0)), T, 81)
-        got = rephase(ones, a).coeffs
-        assert np.array_equal(got.view(np.uint64), phases.view(np.uint64))
-        expected = table.coeffs * phases
-        got = rephase(table, a).coeffs
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="the reference needs an extended-precision long double")
+    @pytest.mark.parametrize("alpha_shape, table_lead, n", [
+        ((6,), (), 81),
+        ((3, 6), (3,), 81),
+        ((2, 3, 6), (2, 3), 81),
+        ((4, 6), (), 81),
+        ((5, 6), (), 100),
+        ((2, 3), (), 20001),
+    ], ids=["one-table", "stack", "stack-of-stacks", "broadcast", "even-n", "wide"])
+    def test_within_rounding_of_exact_exponentials(self, alpha_shape, table_lead, n):
+        # Against exp(i l a) computed in long double from the exact angle:
+        # every phasor is within (|a| l + 1) eps, l = 0 is exactly 1, and
+        # every modulus within 4 eps of 1, for negative, zero, +-pi and large
+        # phases, one table, a stack, P phase vectors against one table, an
+        # even n and up to 10001 columns.
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(n + len(alpha_shape))
+        W = n // 2 + 1
+        J = alpha_shape[-1]
+        shape = table_lead + (J, W)
+        table = SpectralTable(rng.normal(size=shape) + 1j * rng.normal(size=shape), T, n)
+        a = rng.uniform(-4.0, 4.0, alpha_shape)
+        a.reshape(-1)[:6] = [0.0, -0.0, np.pi, -np.pi, 1e6, -1e6][:a.size]
+        ones = SpectralTable(np.full(shape, complex(1.0, -0.0)), T, n)
+        got = rephase(ones, a).coeffs  # times 1 - 0i: the phasors themselves
+        angles = a.astype(np.longdouble)[..., None] * np.arange(W, dtype=np.longdouble)
+        err = np.hypot(got.real - np.cos(angles), got.imag - np.sin(angles))
+        assert np.all(err <= (np.abs(a)[..., None] * np.arange(W) + 1.0) * eps)
+        assert np.all(got[..., 0] == 1.0)
+        modulus = np.hypot(got.real.astype(np.longdouble), got.imag.astype(np.longdouble))
+        assert np.all(np.abs(modulus - 1) <= 4 * eps)
+        out = rephase(table, a).coeffs
+        assert np.all(np.abs(out - table.coeffs * got) <= 2 * eps * np.abs(table.coeffs))
 
     def test_single_entry_half_pi(self):
         # exp(i * 2 * pi/2) * 1 = exp(i pi) = -1

@@ -512,7 +512,7 @@ class TestDescent:
         # that ends with no lower value.  Its last point has a positive
         # definite H whose Newton step, 1.58e-8 rad, is just longer than
         # FINAL_STEP, and no trial along it is lower.  The run keeps that
-        # point, its value and its 34 iterations.  Its last search ends at the
+        # point, its value and its 35 iterations.  Its last search ends at the
         # first trial point that rounds to x, before 80 halvings (numpy's
         # loops round differently on some CPUs, hence the tolerance).
         spec = SimulationSpec(pattern="sinc15", n_curves=10, n_samples=101, sigma=3.0,
@@ -521,11 +521,11 @@ class TestDescent:
         ctx = stack_of_one(single)
         x0 = optimize._starts(ctx)[0, :1]
         run = optimize._descend(ctx, x0, OptimizerConfig())
-        assert run.x[0, 0] == pytest.approx(-0.10710432053081576, rel=1e-12)
-        assert run.f[0] == pytest.approx(8.498114905205387, rel=1e-12)
-        assert run.iterations[0] == 34 and run.stop[0] == optimize.NO_LOWER_VALUE
-        assert run.rephased[0] == 1 + 34 + run.rejected[0]
-        capped = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=34))
+        assert run.x[0, 0] == pytest.approx(-0.10710432053092989, rel=1e-12)
+        assert run.f[0] == pytest.approx(8.498114905205385, rel=1e-12)
+        assert run.iterations[0] == 35 and run.stop[0] == optimize.NO_LOWER_VALUE
+        assert run.rephased[0] == 1 + 35 + run.rejected[0]
+        capped = optimize._descend(ctx, x0, OptimizerConfig(max_iterations=35))
         assert np.array_equal(capped.x, run.x) and capped.stop[0] == optimize.ITERATION_CAP
         assert 0 < run.rejected[0] - capped.rejected[0] < 80
         H = hessian(single, run.x[0])
